@@ -256,6 +256,8 @@ func specs() []spec {
 		{name: "table2_quick", quickTime: "1x", fullTime: "3x", fn: benchTable2, allocSlack: 0.02},
 		{name: "rng_stream_new", quickTime: "20000x", fullTime: "1s", fn: benchRNGStreamNew},
 		{name: "rng_stream_new_lazy", quickTime: "20000x", fullTime: "1s", fn: benchRNGStreamNewLazy},
+		{name: "rng_seed_window", quickTime: "2000x", fullTime: "20000x", fn: benchRNGSeedWindow},
+		{name: "world_build_rem_1200s", quickTime: "3x", fullTime: "10x", fn: benchWorldBuildREM},
 		// The 100-UE epochs are ~10ms ops: quick scale runs 12 of them
 		// so one host-scheduling blip cannot push a clean run past the
 		// gate's 25% ns/op allowance.
@@ -364,6 +366,50 @@ func benchRNGStreamNewLazy(b *testing.B) {
 	_ = g
 }
 
+// benchRNGSeedWindow: the set-up cost a fleet pays per unbounded
+// stream — one op derives an arena stream and takes its first draw,
+// which runs the full 607-word seeding loop. Every 100 ops the arena
+// is replaced with the clock stopped, and one warm-up window carves its
+// 512 KiB chunk there too, so resident memory stays bounded and the
+// timed ops fit in that chunk.
+func benchRNGSeedWindow(b *testing.B) {
+	var streams *sim.ArenaStreams
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%100 == 0 {
+			b.StopTimer()
+			streams = sim.NewArena().Streams(1)
+			sink += streams.Stream("bench.warm").Float64()
+			b.StartTimer()
+		}
+		sink += streams.Stream("bench.stream").Float64()
+	}
+	_ = sink
+}
+
+// benchWorldBuildREM: one shared REM world for a 1200 s Beijing-Shanghai
+// run — deployment, policy simplification and Theorem 2 enforcement
+// over the complete cell graph, the per-run set-up a long served run
+// pays before its first epoch.
+func benchWorldBuildREM(b *testing.B) {
+	cfg := trace.FleetConfig{BuildConfig: trace.BuildConfig{
+		Dataset: trace.Describe(trace.BeijingShanghai), Mode: trace.REM,
+		SpeedKmh: 300, Duration: 1200, Seed: 1,
+	}}
+	var shared *trace.Shared
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if shared, err = trace.BuildFleetShared(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(shared.Dep.Cells)), "cells")
+}
+
 // benchFleetEpochs measures the steady-state epoch: the engine is
 // built outside the timer, one warm-up epoch primes the scratch pools,
 // and each op is one StepEpoch. When a run completes the engine is
@@ -441,10 +487,11 @@ func benchFleet100Armed(b *testing.B) {
 
 // benchFleet100Transport: the identical 100-UE epoch with the per-UE
 // transport plane armed (gcc controller, video workload) — the
-// armed/disarmed twin of fleet_100ue_epoch for the link-trace
-// recording + replay cost. Steady-state epochs only record LinkDown
-// intervals; the controller replay itself runs at Finish, so the
-// per-epoch delta measures the recording hook.
+// armed/disarmed twin of fleet_100ue_epoch for the transport cost.
+// Each epoch records the UE's LinkDown intervals and then steps its
+// transport flow over the intervals recorded so far (fleet
+// stepTransport, on the worker that owns the UE), so the per-epoch
+// delta measures both the recording hook and the controller.
 func benchFleet100Transport(b *testing.B) {
 	spec := fleetSpec(100, 0.5, 2)
 	spec.Transport = &transport.Spec{Controller: "gcc", Workload: "video", StartRateMbps: 4}

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -44,6 +45,15 @@ func (v Violation) String() string {
 // c_k covering the same area (k may equal i, j must differ from both),
 // Δ^{i→j} + Δ^{j→k} ≥ 0. A nil coverage graph treats all cells as
 // co-covering (the conservative reading).
+//
+// Each row j is prepared once per call: its co-covering targets k ≠ j
+// in ascending order with their offsets, and the smallest offset. A
+// pair (i, j) whose Δ^{i→j} plus that minimum is not negative is
+// skipped: rounded float addition is monotone, so no Δ^{j→k} can give
+// a negative sum (a NaN sum never does, and the minimum ignores NaN).
+// The violations equal the plain triple loop's, in the same order. A
+// table with few violations costs O(n²); only pairs that can violate
+// scan row j.
 func CheckTheorem2(t OffsetTable, g *CoverageGraph) []Violation {
 	var out []Violation
 	covers := func(a, b int) bool {
@@ -52,34 +62,60 @@ func CheckTheorem2(t OffsetTable, g *CoverageGraph) []Violation {
 		}
 		return g.Overlaps(a, b)
 	}
+	type entry struct {
+		k int
+		d float64
+	}
+	type row struct {
+		all  []int   // every configured target, ascending
+		next []entry // co-covering targets k ≠ j, ascending
+		min  float64 // smallest non-NaN d in next; +Inf if none
+	}
 	// Deterministic iteration order for reproducible reports.
 	var is []int
 	for i := range t {
 		is = append(is, i)
 	}
 	sort.Ints(is)
-	for _, i := range is {
-		var js []int
-		for j := range t[i] {
-			js = append(js, j)
+	rows := make(map[int]*row, len(is))
+	for _, j := range is {
+		r := &row{
+			all:  make([]int, 0, len(t[j])),
+			next: make([]entry, 0, len(t[j])),
+			min:  math.Inf(1),
 		}
-		sort.Ints(js)
-		for _, j := range js {
+		for k := range t[j] {
+			r.all = append(r.all, k)
+		}
+		sort.Ints(r.all)
+		for _, k := range r.all {
+			if k == j || !covers(j, k) {
+				continue
+			}
+			d := t[j][k]
+			r.next = append(r.next, entry{k, d})
+			if d < r.min {
+				r.min = d
+			}
+		}
+		rows[j] = r
+	}
+	for _, i := range is {
+		for _, j := range rows[i].all {
 			if !covers(i, j) {
 				continue
 			}
-			dij := t[i][j]
-			var ks []int
-			for k := range t[j] {
-				ks = append(ks, k)
+			rj := rows[j]
+			if rj == nil {
+				continue
 			}
-			sort.Ints(ks)
-			for _, k := range ks {
-				if k == j || !covers(j, k) {
-					continue
-				}
-				if sum := dij + t[j][k]; sum < 0 {
-					out = append(out, Violation{I: i, J: j, K: k, Sum: sum})
+			dij := t[i][j]
+			if !(dij+rj.min < 0) {
+				continue
+			}
+			for _, e := range rj.next {
+				if sum := dij + e.d; sum < 0 {
+					out = append(out, Violation{I: i, J: j, K: e.k, Sum: sum})
 				}
 			}
 		}

@@ -68,11 +68,23 @@ const (
 // words. This keeps the port honest: if the recovered table or the
 // seeding loop were wrong in any bit, the startup self-check and the
 // golden cross-check tests would fail immediately.
+//
+// alfgPow makes seeding table-driven. The seeding LCG is pure Lehmer,
+// x_{k+1} = a·x_k mod M, so its k-th value is a^k·s mod M for the
+// normalised seed s. A seeding discards 20 values and then consumes
+// three per window word, so word i needs steps 21+3i .. 23+3i:
+// alfgPow[i][c] = a^(21+3i+c) mod M. Each word then costs three
+// independent multiply-mods instead of a serial chain of 1,841
+// dependent Schrage steps. Modular arithmetic has one answer, so the
+// words are bit-identical to the stdlib loop's.
 var (
 	alfgCooked   [alfgLen]uint64
+	alfgPow      [alfgLen][3]uint64
 	alfgInitOnce sync.Once
 )
 
+// alfgSeedrand is one step of the stdlib seeding LCG (Schrage's
+// decomposition of 48271·x mod 2^31−1); it only builds alfgPow.
 func alfgSeedrand(x int32) int32 {
 	hi := x / alfgSeedQ
 	lo := x % alfgSeedQ
@@ -83,43 +95,31 @@ func alfgSeedrand(x int32) int32 {
 	return x
 }
 
+// alfgMulMod returns a·b mod 2^31−1 for a, b < 2^31: the product fits
+// in 62 bits, and since 2^31 ≡ 1 the Mersenne fold (t & M) + (t >> 31)
+// leaves a value below 2M, which one conditional subtract reduces.
+func alfgMulMod(a, b uint64) uint64 {
+	t := a * b
+	r := t&alfgSeedM + t>>31
+	if r >= alfgSeedM {
+		r -= alfgSeedM
+	}
+	return r
+}
+
 // alfgSeedVec seeds a 607-word window exactly as rngSource.Seed does,
 // returning the initial tap/feed phases.
 func alfgSeedVec(vec []uint64, seed int64) (tap, feed int32) {
 	alfgInit()
-	return alfgSeedVecCooked(vec, seed)
-}
-
-// alfgSeedVecCooked is the seeding loop proper; it assumes alfgCooked
-// is already recovered (callers go through alfgSeedVec, except the
-// recovery self-check, which runs inside the init once).
-func alfgSeedVecCooked(vec []uint64, seed int64) (tap, feed int32) {
-	s := seed % alfgSeedM
-	if s < 0 {
-		s += alfgSeedM
-	}
-	if s == 0 {
-		s = 89482311
-	}
-	x := int32(s)
-	for i := -20; i < alfgLen; i++ {
-		x = alfgSeedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = alfgSeedrand(x)
-			u ^= uint64(x) << 20
-			x = alfgSeedrand(x)
-			u ^= uint64(x)
-			u ^= alfgCooked[i]
-			vec[i] = u
-		}
-	}
+	alfgSeedWords(vec, seed, &alfgCooked)
 	return 0, alfgLen - alfgTap
 }
 
-// alfgSeedLCG writes the pre-cooked LCG contribution for a seed into
-// out — the seeding loop minus the cooked XOR.
-func alfgSeedLCG(out []uint64, seed int64) {
+// alfgSeedWords is the seeding loop proper: it writes the LCG words
+// for seed, XORed with mix, into out. mix is alfgCooked for a real
+// seeding and all zeros when the recovery strips the LCG part.
+// alfgPow must already be built (alfgInit does so first).
+func alfgSeedWords(out []uint64, seed int64, mix *[alfgLen]uint64) {
 	s := seed % alfgSeedM
 	if s < 0 {
 		s += alfgSeedM
@@ -127,23 +127,28 @@ func alfgSeedLCG(out []uint64, seed int64) {
 	if s == 0 {
 		s = 89482311
 	}
-	x := int32(s)
-	for i := -20; i < alfgLen; i++ {
-		x = alfgSeedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = alfgSeedrand(x)
-			u ^= uint64(x) << 20
-			x = alfgSeedrand(x)
-			u ^= uint64(x)
-			out[i] = u
-		}
+	x := uint64(s)
+	out = out[:alfgLen]
+	for i := range out {
+		p := &alfgPow[i]
+		out[i] = alfgMulMod(p[0], x)<<40 ^ alfgMulMod(p[1], x)<<20 ^ alfgMulMod(p[2], x) ^ mix[i]
 	}
 }
 
 func alfgInit() { alfgInitOnce.Do(alfgRecoverCooked) }
 
 func alfgRecoverCooked() {
+	// The power table first: every seeding below runs through it.
+	x := int32(1)
+	for k := 1; k <= 20; k++ {
+		x = alfgSeedrand(x)
+	}
+	for i := range alfgPow {
+		for c := range alfgPow[i] {
+			x = alfgSeedrand(x)
+			alfgPow[i][c] = uint64(x)
+		}
+	}
 	src := rand.NewSource(1).(rand.Source64)
 	var outs [alfgLen]uint64
 	for i := range outs {
@@ -163,8 +168,8 @@ func alfgRecoverCooked() {
 		v[333-k] = outs[k] - v[606-k]
 	}
 	// v[i] = lcg_i XOR cooked[i]; strip the seed-1 LCG part.
-	var lcg [alfgLen]uint64
-	alfgSeedLCG(lcg[:], 1)
+	var lcg, zero [alfgLen]uint64
+	alfgSeedWords(lcg[:], 1, &zero)
 	for i := range v {
 		alfgCooked[i] = v[i] ^ lcg[i]
 	}
@@ -173,7 +178,8 @@ func alfgRecoverCooked() {
 	// 700 draws crosses the point (draw 273) where the recurrence first
 	// consumes a slot recovered by back-substitution through a rewrite.
 	var check [alfgLen]uint64
-	tap, feed := alfgSeedVecCooked(check[:], 0x5eed5eed)
+	alfgSeedWords(check[:], 0x5eed5eed, &alfgCooked)
+	tap, feed := int32(0), int32(alfgLen-alfgTap)
 	ref := rand.NewSource(0x5eed5eed).(rand.Source64)
 	for i := 0; i < 700; i++ {
 		tap--

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -40,6 +41,65 @@ func TestALFGRawWordsMatchStdlib(t *testing.T) {
 			if got, want := src2.Int63(), ref.Int63(); got != want {
 				t.Fatalf("seed %d: Int63 draw %d = %d, stdlib %d", seed, i, got, want)
 			}
+		}
+	}
+}
+
+// TestALFGTableSeedingMatchesStdlib cross-checks the table-driven
+// seeding over a thousand random seeds plus the remap edges (0 and
+// multiples of 2^31−1 map to 89482311, negatives wrap, the int64
+// extremes): the first 700 words, which cross draw 273 where the
+// recurrence first reads a slot it rewrote, must equal the stdlib's.
+func TestALFGTableSeedingMatchesStdlib(t *testing.T) {
+	const m = alfgSeedM
+	seeds := []int64{0, 1, -1, m - 1, m, m + 1, 2 * m, 89482311, math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(28))
+	for len(seeds) < 1010 {
+		seeds = append(seeds, int64(rng.Uint64()))
+	}
+	for _, seed := range seeds {
+		ref := rand.NewSource(seed).(rand.Source64)
+		var src alfgSource
+		src.init(seed, nil, 0)
+		for i := 0; i < 700; i++ {
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: draw %d = %#x, stdlib %#x", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestALFGMulMod pins the Mersenne multiply-mod: one step of it equals
+// the stdlib's Schrage step at every power-table entry and at the ends
+// of the range, and a·b mod 2^31−1 equals the 128-bit remainder for
+// random and extreme operand pairs.
+func TestALFGMulMod(t *testing.T) {
+	alfgInit()
+	const m = alfgSeedM
+	step := func(x uint64) {
+		if got, want := alfgMulMod(alfgSeedA, x), uint64(alfgSeedrand(int32(x))); got != want {
+			t.Fatalf("alfgMulMod(a, %d) = %d, Schrage step %d", x, got, want)
+		}
+	}
+	for i := range alfgPow {
+		for _, x := range alfgPow[i] {
+			step(x)
+		}
+	}
+	for _, x := range []uint64{1, 2, m - 2, m - 1} {
+		step(x)
+	}
+	rng := rand.New(rand.NewSource(29))
+	edges := []uint64{0, 1, 2, m - 2, m - 1}
+	for n := 0; n < 2000; n++ {
+		a, b := uint64(rng.Int63n(m)), uint64(rng.Int63n(m))
+		if n < len(edges)*len(edges) {
+			a, b = edges[n/len(edges)], edges[n%len(edges)]
+		}
+		hi, lo := bits.Mul64(a, b)
+		_, want := bits.Div64(hi, lo, m)
+		if got := alfgMulMod(a, b); got != want {
+			t.Fatalf("alfgMulMod(%d, %d) = %d, want %d", a, b, got, want)
 		}
 	}
 }
