@@ -118,4 +118,3 @@ func (j *journal) Close() error {
 	}
 	return j.f.Close()
 }
-

@@ -30,55 +30,54 @@ type serverMetrics struct {
 }
 
 func newServerMetrics() *serverMetrics {
-	reg := obs.NewRegistry()
-	reg.Counter("remserve_runs_started_total", "Fleet runs admitted.")
-	reg.Counter("remserve_runs_completed_total", "Fleet runs finished successfully.")
-	reg.Counter("remserve_runs_canceled_total", "Fleet runs canceled by the client.")
-	reg.Counter("remserve_runs_failed_total", "Fleet runs that finished failed.")
-	reg.Counter("remserve_runs_shed_total", "Run requests rejected at capacity (503).")
-	reg.Counter("remserve_runs_recovered_total", "Interrupted runs surfaced as failed at boot.")
-	reg.Counter("remserve_runs_retried_total", "Transient run-start retries.")
-	// Registry-only (kept out of the legacy JSON view, whose shape is
-	// pinned by existing clients).
-	reg.Counter("remserve_runs_resumed_total", "Sharded runs re-queued after a coordinator restart.")
-	reg.Counter("remserve_journal_errors_total", "Journal writes that failed (run unaffected, resume point degraded).")
-	reg.Counter("cluster_heartbeat_misses_total", "Member heartbeat ticks that failed after all in-tick retries.")
-	reg.Gauge("remserve_run_resume_epoch", "Barrier the most recently resumed run continued from (0 = none).")
-	reg.Counter("remserve_epochs_total", "Fleet epoch barriers executed.")
-	reg.Counter("remserve_epoch_allocs_total", "Heap objects allocated across fleet epochs.")
-	reg.Histogram("remserve_epoch_wall_ms", "Fleet epoch wall-clock latency (ms).", epochBuckets)
-	reg.Gauge("remserve_last_epoch_ns", "Wall-clock nanoseconds of the most recent fleet epoch.")
-	reg.Gauge("remserve_last_epoch_allocs", "Heap objects allocated during the most recent fleet epoch.")
-	reg.Gauge("remserve_active_runs", "Runs currently executing.")
-	reg.Gauge("remserve_active_ues", "UEs attached across executing runs.")
-	reg.Gauge("remserve_handovers", "Handovers across all runs (latest heartbeats).")
-	reg.Gauge("remserve_failures", "Failures across all runs (latest heartbeats).")
-	reg.Gauge("remserve_blocked", "Admission-blocked handovers across all runs.")
-	sh := reg.Shard(0)
-	return &serverMetrics{
-		reg:             reg,
-		started:         sh.Counter("remserve_runs_started_total"),
-		completed:       sh.Counter("remserve_runs_completed_total"),
-		canceled:        sh.Counter("remserve_runs_canceled_total"),
-		failed:          sh.Counter("remserve_runs_failed_total"),
-		shed:            sh.Counter("remserve_runs_shed_total"),
-		recovered:       sh.Counter("remserve_runs_recovered_total"),
-		retried:         sh.Counter("remserve_runs_retried_total"),
-		resumed:         sh.Counter("remserve_runs_resumed_total"),
-		journalErrors:   sh.Counter("remserve_journal_errors_total"),
-		heartbeatMisses: sh.Counter("cluster_heartbeat_misses_total"),
-		resumeEpoch:     sh.Gauge("remserve_run_resume_epoch"),
-		epochs:          sh.Counter("remserve_epochs_total"),
-		epochAllocs:     sh.Counter("remserve_epoch_allocs_total"),
-		epochWall:       sh.Histogram("remserve_epoch_wall_ms"),
-		activeRuns:      sh.Gauge("remserve_active_runs"),
-		activeUEs:       sh.Gauge("remserve_active_ues"),
-		handovers:       sh.Gauge("remserve_handovers"),
-		failures:        sh.Gauge("remserve_failures"),
-		blocked:         sh.Gauge("remserve_blocked"),
-		lastEpochNs:     sh.Gauge("remserve_last_epoch_ns"),
-		lastEpochAllocs: sh.Gauge("remserve_last_epoch_allocs"),
+	m := &serverMetrics{reg: obs.NewRegistry()}
+	// Each helper registers one metric and returns the step that binds
+	// its handle once every metric is registered (a registry takes no
+	// definitions after its first shard).
+	counter := func(name, help string, h **obs.Counter) func(*obs.Shard) {
+		m.reg.Counter(name, help)
+		return func(sh *obs.Shard) { *h = sh.Counter(name) }
 	}
+	gauge := func(name, help string, h **obs.Gauge) func(*obs.Shard) {
+		m.reg.Gauge(name, help)
+		return func(sh *obs.Shard) { *h = sh.Gauge(name) }
+	}
+	histogram := func(name, help string, h **obs.Histogram) func(*obs.Shard) {
+		m.reg.Histogram(name, help, epochBuckets)
+		return func(sh *obs.Shard) { *h = sh.Histogram(name) }
+	}
+	// One row per metric; rows register in order, which is the
+	// exposition order.
+	binds := []func(*obs.Shard){
+		counter("remserve_runs_started_total", "Fleet runs admitted.", &m.started),
+		counter("remserve_runs_completed_total", "Fleet runs finished successfully.", &m.completed),
+		counter("remserve_runs_canceled_total", "Fleet runs canceled by the client.", &m.canceled),
+		counter("remserve_runs_failed_total", "Fleet runs that finished failed.", &m.failed),
+		counter("remserve_runs_shed_total", "Run requests rejected at capacity (503).", &m.shed),
+		counter("remserve_runs_recovered_total", "Interrupted runs surfaced as failed at boot.", &m.recovered),
+		counter("remserve_runs_retried_total", "Transient run-start retries.", &m.retried),
+		// Registry-only (kept out of the legacy JSON view, whose shape
+		// is pinned by existing clients).
+		counter("remserve_runs_resumed_total", "Sharded runs re-queued after a coordinator restart.", &m.resumed),
+		counter("remserve_journal_errors_total", "Journal writes that failed (run unaffected, resume point degraded).", &m.journalErrors),
+		counter("cluster_heartbeat_misses_total", "Member heartbeat ticks that failed after all in-tick retries.", &m.heartbeatMisses),
+		gauge("remserve_run_resume_epoch", "Barrier the most recently resumed run continued from (0 = none).", &m.resumeEpoch),
+		counter("remserve_epochs_total", "Fleet epoch barriers executed.", &m.epochs),
+		counter("remserve_epoch_allocs_total", "Heap objects allocated across fleet epochs.", &m.epochAllocs),
+		histogram("remserve_epoch_wall_ms", "Fleet epoch wall-clock latency (ms).", &m.epochWall),
+		gauge("remserve_last_epoch_ns", "Wall-clock nanoseconds of the most recent fleet epoch.", &m.lastEpochNs),
+		gauge("remserve_last_epoch_allocs", "Heap objects allocated during the most recent fleet epoch.", &m.lastEpochAllocs),
+		gauge("remserve_active_runs", "Runs currently executing.", &m.activeRuns),
+		gauge("remserve_active_ues", "UEs attached across executing runs.", &m.activeUEs),
+		gauge("remserve_handovers", "Handovers across all runs (latest heartbeats).", &m.handovers),
+		gauge("remserve_failures", "Failures across all runs (latest heartbeats).", &m.failures),
+		gauge("remserve_blocked", "Admission-blocked handovers across all runs.", &m.blocked),
+	}
+	sh := m.reg.Shard(0)
+	for _, bind := range binds {
+		bind(sh)
+	}
+	return m
 }
 
 // view rebuilds the legacy JSON /metrics shape from a registry

@@ -92,8 +92,8 @@ func TestDecidePackedMatchesDecide(t *testing.T) {
 		packed.Reset()
 		for i := range cands {
 			cands[i] = TargetCandidate{
-				CellID: 1 + rng.Intn(4),           // collisions likely
-				Metric: float64(rng.Intn(8)) - 3,  // coarse grid forces ties
+				CellID: 1 + rng.Intn(4),          // collisions likely
+				Metric: float64(rng.Intn(8)) - 3, // coarse grid forces ties
 				Load:   rng.Intn(5),
 			}
 			packed.Append(cands[i].CellID, cands[i].Metric, cands[i].Load)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"rem/internal/dsp"
-	"rem/internal/tcpsim"
+	"rem/internal/transport"
 )
 
 func TestPreFailureWindow(t *testing.T) {
@@ -109,9 +109,48 @@ func TestGridCorrelation(t *testing.T) {
 }
 
 func TestLongOutages(t *testing.T) {
-	in := []tcpsim.Outage{{Start: 0, Duration: 0.05}, {Start: 1, Duration: 0.3}, {Start: 2, Duration: 0.19}}
+	in := []transport.Outage{{Start: 0, Duration: 0.05}, {Start: 1, Duration: 0.3}, {Start: 2, Duration: 0.19}}
 	outs := longOutages(in, 0.2)
 	if len(outs) != 1 || outs[0].Duration != 0.3 {
 		t.Fatalf("longOutages = %v", outs)
+	}
+}
+
+func TestStallTotals(t *testing.T) {
+	total, mean := stallTotals([]transport.Stall{{Duration: 3}, {Duration: 0.6}})
+	if total != 3.6 || mean != 1.8 {
+		t.Fatalf("stallTotals = %g, %g; want 3.6, 1.8", total, mean)
+	}
+	if total, mean := stallTotals(nil); total != 0 || mean != 0 {
+		t.Fatalf("empty stallTotals = %g, %g; want 0, 0", total, mean)
+	}
+}
+
+func TestThroughputTrace(t *testing.T) {
+	times, mbps := throughputTrace([]transport.Stall{{Start: 2, Duration: 3}}, 10, 0.1)
+	at := func(tt float64) float64 {
+		for i, x := range times {
+			if math.Abs(x-tt) < 0.0501 {
+				return mbps[i]
+			}
+		}
+		t.Fatalf("no sample near %g", tt)
+		return 0
+	}
+	if at(1.0) != tcpRateMbps {
+		t.Fatal("pre-stall throughput should be full")
+	}
+	if at(3.0) != 0 {
+		t.Fatal("mid-stall throughput should be zero")
+	}
+	post := at(5.6) // 0.6 s into the 1.5 s slow-start ramp
+	if post <= 0 || post >= tcpRateMbps {
+		t.Fatalf("ramp throughput = %g, want between 0 and %d", post, tcpRateMbps)
+	}
+	if at(9.0) != tcpRateMbps {
+		t.Fatal("recovered throughput should be full")
+	}
+	if times, _ := throughputTrace(nil, 0, 0.1); times != nil {
+		t.Fatal("invalid params produced samples")
 	}
 }

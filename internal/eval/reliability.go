@@ -6,8 +6,8 @@ import (
 	"rem/internal/dsp"
 	"rem/internal/mobility"
 	"rem/internal/ofdm"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
+	"rem/internal/transport"
 )
 
 func init() {
@@ -288,8 +288,7 @@ func runFig9(cfg Config) (*Report, error) {
 		Title:   "Fig 9a: average TCP stalling time (s)",
 		Columns: []string{"speed", "legacy", "REM"},
 	}
-	tcpCfg := tcpsim.DefaultConfig()
-	var trace9b []tcpsim.TracePoint
+	var trace9bX, trace9bY []float64
 	buckets := [][2]float64{{200, 300}, {300, 350}}
 	var specs []cellSpec
 	for _, bucket := range buckets {
@@ -305,22 +304,20 @@ func runFig9(cfg Config) (*Report, error) {
 		leg, rem := aggs[2*bi], aggs[2*bi+1]
 		// Only failure outages stall TCP meaningfully; handover
 		// interruptions (50 ms) barely register. Filter to ≥0.2 s.
-		ls := tcpsim.Replay(longOutages(leg.Outages, 0.2), tcpCfg)
-		rs := tcpsim.Replay(longOutages(rem.Outages, 0.2), tcpCfg)
+		ls := transport.ReplayStalls(longOutages(leg.Outages, 0.2), transport.DefaultStallConfig())
+		rs := transport.ReplayStalls(longOutages(rem.Outages, 0.2), transport.DefaultStallConfig())
+		lTotal, lMean := stallTotals(ls)
+		rTotal, rMean := stallTotals(rs)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%g-%g km/h", bucket[0], bucket[1]),
-			fmt.Sprintf("%.2f (%.1fs per 1000s)", ls.MeanStallSec, ls.TotalStallSec/leg.Duration*1000),
-			fmt.Sprintf("%.2f (%.1fs per 1000s)", rs.MeanStallSec, rs.TotalStallSec/rem.Duration*1000),
+			fmt.Sprintf("%.2f (%.1fs per 1000s)", lMean, lTotal/leg.Duration*1000),
+			fmt.Sprintf("%.2f (%.1fs per 1000s)", rMean, rTotal/rem.Duration*1000),
 		})
-		if trace9b == nil && len(ls.Stalls) > 0 {
-			st := ls.Stalls[0]
-			pts, err := tcpsim.ThroughputTrace(
-				[]tcpsim.Stall{{Start: 5, Duration: st.Duration, FinalRTO: st.FinalRTO}},
-				5+st.Duration+6, 0.25, tcpCfg)
-			if err != nil {
-				return nil, err
-			}
-			trace9b = pts
+		if trace9bX == nil && len(ls) > 0 {
+			st := ls[0]
+			trace9bX, trace9bY = throughputTrace(
+				[]transport.Stall{{Start: 5, Duration: st.Duration, FinalRTO: st.FinalRTO}},
+				5+st.Duration+6, 0.25)
 		}
 	}
 	rep := &Report{
@@ -332,15 +329,10 @@ func runFig9(cfg Config) (*Report, error) {
 			"per-stall durations are set by the radio re-establishment timer and RTO overshoot, identical for both modes in this model; REM's win is fewer failures, i.e. the total stall seconds per 1000 s of travel",
 		},
 	}
-	if trace9b != nil {
-		var xs, ys []float64
-		for _, p := range trace9b {
-			xs = append(xs, p.Time)
-			ys = append(ys, p.Mbps)
-		}
+	if trace9bX != nil {
 		rep.Series = append(rep.Series, Series{
 			Name:   "Fig 9b: TCP throughput around one failure",
-			XLabel: "time (s)", YLabel: "Mbps", X: xs, Y: ys,
+			XLabel: "time (s)", YLabel: "Mbps", X: trace9bX, Y: trace9bY,
 		})
 	}
 	return rep, nil
@@ -418,8 +410,54 @@ func cdfSeries(name, xlabel string, xs []float64) Series {
 	return s
 }
 
-func longOutages(os []tcpsim.Outage, minDur float64) []tcpsim.Outage {
-	var out []tcpsim.Outage
+// Fig. 9b's TCP flow: full rate outside stalls, and a linear ramp
+// approximating slow-start recovery after each one.
+const (
+	tcpRateMbps     = 20
+	tcpSlowStartSec = 1.5
+)
+
+// stallTotals sums stall durations in stall order and returns the
+// total and the mean (0 for no stalls).
+func stallTotals(stalls []transport.Stall) (total, mean float64) {
+	for _, st := range stalls {
+		total += st.Duration
+	}
+	if len(stalls) > 0 {
+		mean = total / float64(len(stalls))
+	}
+	return total, mean
+}
+
+// throughputTrace samples the Fig. 9b throughput timeline over
+// [0, horizon) every dt seconds: zero during each stall, then the
+// slow-start ramp. It returns no samples for a non-positive horizon
+// or dt.
+func throughputTrace(stalls []transport.Stall, horizon, dt float64) (times, mbps []float64) {
+	if dt <= 0 || horizon <= 0 {
+		return nil, nil
+	}
+	for t := 0.0; t < horizon; t += dt {
+		rate := float64(tcpRateMbps)
+		for _, s := range stalls {
+			end := s.Start + s.Duration
+			switch {
+			case t >= s.Start && t < end:
+				rate = 0
+			case t >= end && t < end+tcpSlowStartSec:
+				if r := tcpRateMbps * (t - end) / tcpSlowStartSec; r < rate {
+					rate = r
+				}
+			}
+		}
+		times = append(times, t)
+		mbps = append(mbps, rate)
+	}
+	return times, mbps
+}
+
+func longOutages(os []transport.Outage, minDur float64) []transport.Outage {
+	var out []transport.Outage
 	for _, o := range os {
 		if o.Duration >= minDur {
 			out = append(out, o)

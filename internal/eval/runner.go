@@ -7,8 +7,8 @@ import (
 	"rem/internal/obs"
 	"rem/internal/par"
 	"rem/internal/policy"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
+	"rem/internal/transport"
 )
 
 // Agg aggregates mobility replays over several seeds for one
@@ -48,7 +48,7 @@ type Agg struct {
 	FailureTimes        []float64
 	SNRTrace            []float64
 	SNRTraceAt          []float64
-	Outages             []tcpsim.Outage
+	Outages             []transport.Outage
 	GapActiveFrac       float64
 	Signaling           int
 	// FaultLosses counts signaling messages lost to injected transport
@@ -100,13 +100,7 @@ func runCell(cfg Config, ds trace.Dataset, bucket [2]float64, mode trace.Mode) (
 		if err != nil {
 			return replicaOut{}, fmt.Errorf("eval: run %v/%v: %w", ds.ID, mode, err)
 		}
-		if scope != nil && len(res.Outages) > 0 {
-			outs := make([]tcpsim.Outage, len(res.Outages))
-			for j, o := range res.Outages {
-				outs[j] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-			}
-			tcpsim.ObserveStalls(scope, tcpsim.Replay(outs, tcpsim.DefaultConfig()).Stalls)
-		}
+		transport.ObserveTCPStalls(scope, res.Outages)
 		loops := policy.LoopDetector{}.Detect(res.Handovers)
 		return replicaOut{
 			res:   res,
@@ -156,9 +150,7 @@ func runCell(cfg Config, ds trace.Dataset, bucket [2]float64, mode trace.Mode) (
 			agg.SNRTrace = append(agg.SNRTrace, v)
 			agg.SNRTraceAt = append(agg.SNRTraceAt, float64(i)*res.SNRTraceStep+off)
 		}
-		for _, o := range res.Outages {
-			agg.Outages = append(agg.Outages, tcpsim.Outage{Start: o.Start, Duration: o.Duration})
-		}
+		agg.Outages = append(agg.Outages, res.Outages...)
 
 		agg.ConflictLoops += len(rep.loops)
 		for _, l := range rep.loops {

@@ -43,7 +43,6 @@ import (
 	"rem/internal/obs"
 	"rem/internal/par"
 	"rem/internal/sim"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
 	"rem/internal/transport"
 )
@@ -552,14 +551,7 @@ func (e *Engine) FinishResults() []*mobility.Result {
 		// order, coordinator goroutine) and publish the final batch:
 		// Finish-appended events plus the stall open/close pairs.
 		for i, res := range results {
-			if len(res.Outages) == 0 {
-				continue
-			}
-			outs := make([]tcpsim.Outage, len(res.Outages))
-			for j, o := range res.Outages {
-				outs[j] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-			}
-			tcpsim.ObserveStalls(e.sess[i].scope, tcpsim.Replay(outs, tcpsim.DefaultConfig()).Stalls)
+			transport.ObserveTCPStalls(e.sess[i].scope, res.Outages)
 		}
 		e.publishTimeline()
 	}

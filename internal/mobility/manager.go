@@ -19,6 +19,7 @@ import (
 	"rem/internal/ran"
 	"rem/internal/rrc"
 	"rem/internal/sim"
+	"rem/internal/transport"
 )
 
 // FailureCause classifies a network failure per Table 2.
@@ -55,12 +56,6 @@ type FailureEvent struct {
 	Time    float64
 	Serving int
 	Cause   FailureCause
-}
-
-// Outage is a service interruption window (for the TCP replay).
-type Outage struct {
-	Start    float64
-	Duration float64
 }
 
 // Config holds the engine's timing and threshold parameters.
@@ -158,7 +153,7 @@ type Result struct {
 	Duration  float64
 	Handovers []policy.HandoverRecord
 	Failures  []FailureEvent
-	Outages   []Outage
+	Outages   []transport.Outage // service interruptions, for the TCP stall replay
 
 	// FeedbackDelays are end-to-end triggering delays (criterion true →
 	// report delivered), Fig. 2a / Fig. 14a. FeedbackDelaysInter is the
@@ -429,7 +424,7 @@ func (r *Runner) connectTo(t float64, target int, trigger policy.EventType, snap
 		FromChannel: sc.Dep.ChannelOf(from), ToChannel: sc.Dep.ChannelOf(target),
 		TriggerType: trigger, DisruptionSec: cfg.HOInterruptSec,
 	})
-	res.Outages = append(res.Outages, Outage{Start: t, Duration: cfg.HOInterruptSec})
+	res.Outages = append(res.Outages, transport.Outage{Start: t, Duration: cfg.HOInterruptSec})
 	r.hoDownUntil = t + cfg.HOInterruptSec
 	if o := r.obs; o != nil {
 		o.handovers.Inc()
@@ -476,7 +471,7 @@ func (r *Runner) tick(t float64) {
 		}
 		if t >= r.reestablishAt {
 			if best, _, ok := ran.BestCell(snap, false, cfg.ConnectFloorDB); ok {
-				res.Outages = append(res.Outages, Outage{Start: r.outageStart, Duration: t - r.outageStart})
+				res.Outages = append(res.Outages, transport.Outage{Start: r.outageStart, Duration: t - r.outageStart})
 				if o := r.obs; o != nil {
 					d := t - r.outageStart
 					o.blackout.Observe(d)
@@ -818,7 +813,7 @@ func (r *Runner) Finish() *Result {
 	if !r.finished {
 		r.finished = true
 		if r.inOutage {
-			r.res.Outages = append(r.res.Outages, Outage{Start: r.outageStart, Duration: r.sc.Duration - r.outageStart})
+			r.res.Outages = append(r.res.Outages, transport.Outage{Start: r.outageStart, Duration: r.sc.Duration - r.outageStart})
 			if o := r.obs; o != nil {
 				d := r.sc.Duration - r.outageStart
 				o.blackout.Observe(d)

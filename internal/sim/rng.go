@@ -1,8 +1,8 @@
-// Package sim provides the discrete-event simulation substrate used by
-// the RAN emulator and the evaluation harness: a time-ordered event
-// queue with a simulated clock, and named deterministic random-number
-// streams so that every experiment in the repository is reproducible
-// bit-for-bit from its seed.
+// Package sim provides the randomness substrate used by the RAN
+// emulator and the evaluation harness: named deterministic
+// random-number streams, so that every experiment in the repository is
+// reproducible bit-for-bit from its seed. Simulated time is each
+// engine's own tick loop; this package keeps no clock.
 //
 // # Concurrency contract
 //

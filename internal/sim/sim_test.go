@@ -6,102 +6,6 @@ import (
 	"testing"
 )
 
-func TestEngineOrdersEvents(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.At(2.0, "b", func() { order = append(order, "b") })
-	e.At(1.0, "a", func() { order = append(order, "a") })
-	e.At(3.0, "c", func() { order = append(order, "c") })
-	n := e.Run(10)
-	if n != 3 {
-		t.Fatalf("fired %d events, want 3", n)
-	}
-	if got := order[0] + order[1] + order[2]; got != "abc" {
-		t.Fatalf("order = %v", order)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("clock = %g, want horizon 10", e.Now())
-	}
-}
-
-func TestEngineFIFOForTies(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.At(1.0, "tie", func() { order = append(order, i) })
-	}
-	e.Run(2)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestEngineHorizonStopsEarly(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.At(5.0, "late", func() { fired = true })
-	e.Run(4.0)
-	if fired {
-		t.Fatal("event after horizon fired")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run(6.0)
-	if !fired {
-		t.Fatal("event not fired after extending horizon")
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(1.0, "x", func() { fired = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel is a no-op
-	e.Run(5)
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestEngineScheduleDuringRun(t *testing.T) {
-	e := NewEngine()
-	var hits []float64
-	var tick func()
-	tick = func() {
-		hits = append(hits, e.Now())
-		if e.Now() < 0.5 {
-			e.After(0.1, "tick", tick)
-		}
-	}
-	e.At(0.1, "tick", tick)
-	e.Run(1.0)
-	if len(hits) != 5 {
-		t.Fatalf("hits = %v, want 5 ticks", hits)
-	}
-	for i, h := range hits {
-		if math.Abs(h-0.1*float64(i+1)) > 1e-9 {
-			t.Fatalf("tick %d at %g", i, h)
-		}
-	}
-}
-
-func TestEngineSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(1.0, "x", func() {})
-	e.Run(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when scheduling in the past")
-		}
-	}()
-	e.At(0.5, "past", func() {})
-}
-
 func TestStreamsDeterministicAndIndependent(t *testing.T) {
 	s := NewStreams(42)
 	a1 := s.Stream("alpha")

@@ -79,9 +79,9 @@ func (u *UE) Step(snrDB, downFrac float64) {
 		downFrac = 1
 	}
 
-	// Down-window tracking with tcpsim RTO semantics: a contiguous
-	// down run becomes an Outage, and delivery stays blocked until the
-	// first backed-off retransmission after recovery.
+	// Down-window tracking with StallForOutage's RTO semantics: a
+	// contiguous down run becomes an Outage, and delivery stays blocked
+	// until the first backed-off retransmission after recovery.
 	if downFrac > 0 && !u.inDown {
 		u.inDown = true
 		u.downStart = t

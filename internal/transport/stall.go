@@ -6,8 +6,8 @@ import (
 )
 
 // Outage is a radio service interruption, start-time + duration in
-// simulated seconds. It mirrors tcpsim.Outage so mobility results
-// replay through either plane interchangeably.
+// simulated seconds. mobility.Result records its outages in this type,
+// so a finished run replays through ReplayStalls directly.
 type Outage struct {
 	Start    float64
 	Duration float64
@@ -16,9 +16,8 @@ type Outage struct {
 // Stall is one RTO-extended link stall: the transport cannot deliver
 // until the first exponentially backed-off retransmission after radio
 // recovery, so the stall overshoots the outage by up to one RTO. The
-// fields (and JSON shape) match tcpsim.Stall one-for-one — the Fig. 9
-// stall list of a transport-disabled run is byte-identical either way,
-// golden-tested in the fleet package.
+// same model serves the transport plane's link stalls and the paper's
+// Fig. 9 TCP stalls replayed over a run's radio outages.
 type Stall struct {
 	Start    float64 `json:"start"`
 	Duration float64 `json:"duration"`
@@ -37,8 +36,7 @@ type StallConfig struct {
 	MaxRTOSec float64 `json:"max_rto_sec,omitempty"`
 }
 
-// DefaultStallConfig returns the LTE-flavored timer parameters used by
-// tcpsim.DefaultConfig.
+// DefaultStallConfig returns the LTE-flavored timer parameters.
 func DefaultStallConfig() StallConfig {
 	return StallConfig{BaseRTOSec: 0.2, MaxRTOSec: 60}
 }
@@ -60,8 +58,7 @@ func (c StallConfig) defaulted() StallConfig {
 // retransmissions fire at exponentially backed-off times from the
 // outage start; the first one after radio recovery succeeds and ends
 // the stall (paper §7.1: "TCP stalling time is usually longer than the
-// network failures because of its retransmission timeout"). The
-// arithmetic is ported verbatim from tcpsim.StallForOutage.
+// network failures because of its retransmission timeout").
 func StallForOutage(o Outage, cfg StallConfig) Stall {
 	cfg = cfg.defaulted()
 	if o.Duration <= 0 {
@@ -82,8 +79,7 @@ func StallForOutage(o Outage, cfg StallConfig) Stall {
 }
 
 // ReplayStalls converts a set of radio outages into stalls. Outages
-// are processed in start order; overlapping outages merge — the same
-// semantics as tcpsim.Replay.
+// are processed in start order; overlapping outages merge.
 func ReplayStalls(outages []Outage, cfg StallConfig) []Stall {
 	cfg = cfg.defaulted()
 	merged := mergeOutages(outages)

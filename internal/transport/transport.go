@@ -2,7 +2,7 @@
 // congestion-controlled flow simulated over the radio link a UE
 // actually experiences — serving-cell SNR → Shannon-style capacity,
 // handover interruptions and RLF outages → link-down windows with
-// TCP-flavored RTO recovery (ported from internal/tcpsim), queueing
+// TCP-flavored RTO recovery (the stall model of stall.go), queueing
 // delay from offered load vs capacity, and jitter/loss drawn from the
 // dedicated "transport.link" RNG stream so disarmed runs stay
 // byte-identical.
@@ -178,9 +178,9 @@ type Totals struct {
 	MeanRateMbps float64 `json:"mean_rate_mbps"`
 	// DownSec is total link-down time seen by the flow.
 	DownSec float64 `json:"down_sec"`
-	// Stalls / StallSec count RTO-extended link stalls (tcpsim
-	// semantics: each down window stalls until the first backed-off
-	// retransmission after recovery).
+	// Stalls / StallSec count RTO-extended link stalls (each down
+	// window stalls until the first backed-off retransmission after
+	// recovery).
 	Stalls   int     `json:"stalls"`
 	StallSec float64 `json:"stall_sec"`
 	// RebufferSec / Rebuffers are video workload playback stalls.

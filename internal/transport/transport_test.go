@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rem/internal/sim"
-	"rem/internal/tcpsim"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -54,53 +53,6 @@ func TestDefaultedFillsEveryField(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("defaulted %s = %g, want > 0", name, v)
 		}
-	}
-}
-
-// TestStallParityWithTcpsim pins the ported RTO model to the model of
-// record: over identical outage lists, ReplayStalls must reproduce
-// tcpsim.Replay's stalls bit-for-bit (the arithmetic is a verbatim
-// port, so exact equality — not tolerance — is the contract).
-func TestStallParityWithTcpsim(t *testing.T) {
-	lists := [][]Outage{
-		nil,
-		{{Start: 1, Duration: 0.05}},
-		{{Start: 0, Duration: 2}},
-		{{Start: 0, Duration: 1}, {Start: 0.5, Duration: 1}, {Start: 10, Duration: 0.3}},
-		{{Start: 30, Duration: 120}}, // long enough to hit the RTO cap
-		{{Start: 5, Duration: 0.3}, {Start: 5.1, Duration: 0.1}, {Start: 7, Duration: 3}},
-	}
-	cfgs := []StallConfig{{}, {BaseRTOSec: 0.5, MaxRTOSec: 4}, {BaseRTOSec: 1, MaxRTOSec: 0.5}}
-	for ci, cfg := range cfgs {
-		tcfg := tcpsim.Config{BaseRTOSec: cfg.BaseRTOSec, MaxRTOSec: cfg.MaxRTOSec}
-		for li, outs := range lists {
-			touts := make([]tcpsim.Outage, len(outs))
-			for i, o := range outs {
-				touts[i] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-			}
-			want := tcpsim.Replay(touts, tcfg).Stalls
-			got := ReplayStalls(outs, cfg)
-			if len(got) != len(want) {
-				t.Fatalf("cfg %d list %d: %d stalls, tcpsim has %d", ci, li, len(got), len(want))
-			}
-			for i := range got {
-				w := want[i]
-				if got[i] != (Stall{Start: w.Start, Duration: w.Duration,
-					FinalRTO: w.FinalRTO, Retransmissions: w.Retransmissions}) {
-					t.Fatalf("cfg %d list %d stall %d: %+v, tcpsim %+v", ci, li, i, got[i], w)
-				}
-			}
-		}
-	}
-}
-
-// TestStallConfigClampBelowBase mirrors the tcpsim normalized() fix: a
-// cap below the base RTO pins to the base (constant backoff) instead of
-// silently jumping to the 60 s default.
-func TestStallConfigClampBelowBase(t *testing.T) {
-	st := StallForOutage(Outage{Duration: 100}, StallConfig{BaseRTOSec: 1, MaxRTOSec: 0.5})
-	if st.FinalRTO != 1 {
-		t.Fatalf("final RTO = %g, want constant 1 (cap pinned to base)", st.FinalRTO)
 	}
 }
 

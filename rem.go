@@ -18,7 +18,6 @@ import (
 	"rem/internal/policy"
 	"rem/internal/rrc"
 	"rem/internal/sim"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
 	"rem/internal/transport"
 )
@@ -72,8 +71,6 @@ type (
 	ExperimentConfig = eval.Config
 	// Report is an experiment's rendered output.
 	Report = eval.Report
-	// TCPStall is one TCP stall event across a radio outage.
-	TCPStall = tcpsim.Stall
 	// TransportSpec arms and configures the per-UE transport plane: a
 	// delay-based congestion controller (gcc or bbr) driving a video,
 	// bulk or web workload over the UE's simulated radio link.
@@ -82,7 +79,7 @@ type (
 	// (delivered bytes, goodput, stall and rebuffer time).
 	TransportTotals = transport.Totals
 	// TransportStall is one transport-plane stall across a link-down
-	// window (the tcpsim RTO model replayed inside the new plane).
+	// window, extended by the RTO overshoot.
 	TransportStall = transport.Stall
 	// FleetTransportSummary is the fleet-wide transport aggregate
 	// attached to FleetSummary when a run arms the plane.
@@ -288,11 +285,7 @@ func ObserveTCPStalls(tel *Telemetry, scope int, res *Result) {
 	if tel == nil || res == nil || len(res.Outages) == 0 {
 		return
 	}
-	outs := make([]tcpsim.Outage, len(res.Outages))
-	for i, o := range res.Outages {
-		outs[i] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-	}
-	tcpsim.ObserveStalls(tel.Scope(scope), tcpsim.Replay(outs, tcpsim.DefaultConfig()).Stalls)
+	transport.ObserveTCPStalls(tel.Scope(scope), res.Outages)
 }
 
 // ReplayTransport steps a congestion-controlled flow over a finished
