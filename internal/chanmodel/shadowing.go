@@ -65,6 +65,11 @@ func (s *Shadowing) At(d float64) float64 {
 	return s.lastDB
 }
 
+// Warm pulls into cache the generator state that the next draws
+// samples will read and returns the fold sim.RNG.Warm returns. It
+// changes no sample.
+func (s *Shadowing) Warm(draws int) uint64 { return s.rng.Warm(draws) }
+
 func (s *Shadowing) memoFind(delta float64) int {
 	n := s.memoN
 	if n > len(s.memo) {

@@ -61,3 +61,16 @@ func BenchmarkSFFT(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSVD128x64 factors the 128×64 complex matrix shape that
+// cross-band estimation decomposes.
+func BenchmarkSVD128x64(b *testing.B) {
+	a := NewMatrix(128, 64)
+	for i := range a.Data {
+		a.Data[i] = complex(float64(i%13)-6, float64(i%7)-3+float64(i%97)/50)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = ComputeSVD(a)
+	}
+}

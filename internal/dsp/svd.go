@@ -38,20 +38,35 @@ func ComputeSVD(a *Matrix) *SVD {
 // internally; outputs are sorted descending.
 func jacobiSVD(a *Matrix) (*Matrix, []float64, *Matrix) {
 	m, n := a.Rows, a.Cols
-	w := a.Clone() // columns orthogonalized in place
-	v := Identity(n)
+	// The sweeps walk columns p and q top to bottom, so w (the columns
+	// being orthogonalized) and v are held column-major: column j of wc
+	// is wc[j*m:(j+1)*m]. Only the layout differs from a row-major loop;
+	// every operation, and its order, is the same.
+	wc := make([]complex128, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			wc[j*m+i] = a.Data[i*n+j]
+		}
+	}
+	vc := make([]complex128, n*n) // V starts as the identity
+	for i := 0; i < n; i++ {
+		vc[i*n+i] = 1
+	}
 
 	const maxSweeps = 60
 	tol := 1e-13
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
+			wp := wc[p*m : (p+1)*m]
+			vp := vc[p*n : (p+1)*n]
 			for q := p + 1; q < n; q++ {
+				wq := wc[q*m : (q+1)*m]
 				var alpha, beta float64
 				var gamma complex128
-				for i := 0; i < m; i++ {
-					ap := w.Data[i*n+p]
-					aq := w.Data[i*n+q]
+				for i := range wp {
+					ap := wp[i]
+					aq := wq[i]
 					alpha += real(ap)*real(ap) + imag(ap)*imag(ap)
 					beta += real(aq)*real(aq) + imag(aq)*imag(aq)
 					gamma += cmplx.Conj(ap) * aq
@@ -77,17 +92,17 @@ func jacobiSVD(a *Matrix) (*Matrix, []float64, *Matrix) {
 				csC := complex(cs, 0)
 				snP := complex(sn, 0) * phase
 				snPc := complex(sn, 0) * cmplx.Conj(phase)
-				for i := 0; i < m; i++ {
-					ap := w.Data[i*n+p]
-					aq := w.Data[i*n+q]
-					w.Data[i*n+p] = csC*ap - snPc*aq
-					w.Data[i*n+q] = snP*ap + csC*aq
+				for i := range wp {
+					ap := wp[i]
+					aq := wq[i]
+					wp[i] = csC*ap - snPc*aq
+					wq[i] = snP*ap + csC*aq
 				}
-				for i := 0; i < n; i++ {
-					vp := v.Data[i*n+p]
-					vq := v.Data[i*n+q]
-					v.Data[i*n+p] = csC*vp - snPc*vq
-					v.Data[i*n+q] = snP*vp + csC*vq
+				vq := vc[q*n : (q+1)*n]
+				for i := range vp {
+					pv, qv := vp[i], vq[i]
+					vp[i] = csC*pv - snPc*qv
+					vq[i] = snP*pv + csC*qv
 				}
 			}
 		}
@@ -95,27 +110,26 @@ func jacobiSVD(a *Matrix) (*Matrix, []float64, *Matrix) {
 			break
 		}
 	}
-
-	// Column norms are the singular values; normalize to get U.
+	// Column norms are the singular values; normalizing the columns in
+	// place gives U.
 	s := make([]float64, n)
-	u := NewMatrix(m, n)
 	for j := 0; j < n; j++ {
+		col := wc[j*m : (j+1)*m]
 		norm := 0.0
-		for i := 0; i < m; i++ {
-			c := w.Data[i*n+j]
+		for _, c := range col {
 			norm += real(c)*real(c) + imag(c)*imag(c)
 		}
 		norm = math.Sqrt(norm)
 		s[j] = norm
 		if norm > 0 {
 			inv := complex(1/norm, 0)
-			for i := 0; i < m; i++ {
-				u.Data[i*n+j] = w.Data[i*n+j] * inv
+			for i := range col {
+				col[i] *= inv
 			}
 		} else {
-			// Zero singular value: leave the U column zero. The
-			// callers only consume columns with s[j] > 0.
-			_ = j
+			// Zero singular value: the U column is zero. The callers
+			// only consume columns with s[j] > 0.
+			clear(col)
 		}
 	}
 
@@ -131,10 +145,10 @@ func jacobiSVD(a *Matrix) (*Matrix, []float64, *Matrix) {
 	for newJ, oldJ := range idx {
 		sSorted[newJ] = s[oldJ]
 		for i := 0; i < m; i++ {
-			uSorted.Data[i*n+newJ] = u.Data[i*n+oldJ]
+			uSorted.Data[i*n+newJ] = wc[oldJ*m+i]
 		}
 		for i := 0; i < n; i++ {
-			vSorted.Data[i*n+newJ] = v.Data[i*n+oldJ]
+			vSorted.Data[i*n+newJ] = vc[oldJ*n+i]
 		}
 	}
 	return uSorted, sSorted, vSorted

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +192,148 @@ func BenchmarkSVD12x14(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ComputeSVD(a)
+	}
+}
+
+// jacobiSVDRowMajor is the one-sided Jacobi loop as it ran on the
+// row-major matrices before the sweeps moved to column-major copies.
+// It is kept as the reference that jacobiSVD must match bit for bit.
+func jacobiSVDRowMajor(a *Matrix) (*Matrix, []float64, *Matrix) {
+	m, n := a.Rows, a.Cols
+	w := a.Clone() // columns orthogonalized in place
+	v := Identity(n)
+
+	const maxSweeps = 60
+	tol := 1e-13
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		off := 0.0
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				var alpha, beta float64
+				var gamma complex128
+				for i := 0; i < m; i++ {
+					ap := w.Data[i*n+p]
+					aq := w.Data[i*n+q]
+					alpha += real(ap)*real(ap) + imag(ap)*imag(ap)
+					beta += real(aq)*real(aq) + imag(aq)*imag(aq)
+					gamma += cmplx.Conj(ap) * aq
+				}
+				g := cmplx.Abs(gamma)
+				if g <= tol*math.Sqrt(alpha*beta) || g == 0 {
+					continue
+				}
+				off += g
+				// Complex Jacobi rotation that annihilates
+				// w_pᴴ·w_q. Factor out the phase of gamma, then
+				// apply the classical real rotation.
+				phase := gamma / complex(g, 0)
+				tau := (beta - alpha) / (2 * g)
+				var t float64
+				if tau >= 0 {
+					t = 1 / (tau + math.Sqrt(1+tau*tau))
+				} else {
+					t = -1 / (-tau + math.Sqrt(1+tau*tau))
+				}
+				cs := 1 / math.Sqrt(1+t*t)
+				sn := cs * t
+				csC := complex(cs, 0)
+				snP := complex(sn, 0) * phase
+				snPc := complex(sn, 0) * cmplx.Conj(phase)
+				for i := 0; i < m; i++ {
+					ap := w.Data[i*n+p]
+					aq := w.Data[i*n+q]
+					w.Data[i*n+p] = csC*ap - snPc*aq
+					w.Data[i*n+q] = snP*ap + csC*aq
+				}
+				for i := 0; i < n; i++ {
+					vp := v.Data[i*n+p]
+					vq := v.Data[i*n+q]
+					v.Data[i*n+p] = csC*vp - snPc*vq
+					v.Data[i*n+q] = snP*vp + csC*vq
+				}
+			}
+		}
+		if off < tol {
+			break
+		}
+	}
+
+	// Column norms are the singular values; normalize to get U.
+	s := make([]float64, n)
+	u := NewMatrix(m, n)
+	for j := 0; j < n; j++ {
+		norm := 0.0
+		for i := 0; i < m; i++ {
+			c := w.Data[i*n+j]
+			norm += real(c)*real(c) + imag(c)*imag(c)
+		}
+		norm = math.Sqrt(norm)
+		s[j] = norm
+		if norm > 0 {
+			inv := complex(1/norm, 0)
+			for i := 0; i < m; i++ {
+				u.Data[i*n+j] = w.Data[i*n+j] * inv
+			}
+		} else {
+			// Zero singular value: leave the U column zero. The
+			// callers only consume columns with s[j] > 0.
+			_ = j
+		}
+	}
+
+	// Sort descending by singular value.
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return s[idx[a]] > s[idx[b]] })
+	sSorted := make([]float64, n)
+	uSorted := NewMatrix(m, n)
+	vSorted := NewMatrix(n, n)
+	for newJ, oldJ := range idx {
+		sSorted[newJ] = s[oldJ]
+		for i := 0; i < m; i++ {
+			uSorted.Data[i*n+newJ] = u.Data[i*n+oldJ]
+		}
+		for i := 0; i < n; i++ {
+			vSorted.Data[i*n+newJ] = v.Data[i*n+oldJ]
+		}
+	}
+	return uSorted, sSorted, vSorted
+}
+
+// TestJacobiSVDMatchesRowMajorReference pins the column-major sweeps
+// bitwise to the row-major reference: tall, square and rank-deficient
+// inputs, including the 128×64 shape cross-band estimation factors.
+func TestJacobiSVDMatchesRowMajorReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lowRank := NewMatrix(24, 12)
+	for k := 0; k < 3; k++ {
+		u, v := randMatrix(rng, 24, 1), randMatrix(rng, 1, 12)
+		for i := 0; i < 24; i++ {
+			for j := 0; j < 12; j++ {
+				lowRank.Data[i*12+j] += u.Data[i] * v.Data[j]
+			}
+		}
+	}
+	for _, a := range []*Matrix{randMatrix(rng, 128, 64), randMatrix(rng, 9, 9),
+		randMatrix(rng, 40, 3), lowRank, Identity(5)} {
+		u, s, v := jacobiSVD(a)
+		ru, rs, rv := jacobiSVDRowMajor(a)
+		same := func(name string, got, want []complex128) {
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%dx%d: %s[%d] = %v, reference %v", a.Rows, a.Cols, name, i, got[i], want[i])
+				}
+			}
+		}
+		same("U", u.Data, ru.Data)
+		same("V", v.Data, rv.Data)
+		for i := range rs {
+			if math.Float64bits(s[i]) != math.Float64bits(rs[i]) {
+				t.Fatalf("%dx%d: S[%d] = %v, reference %v", a.Rows, a.Cols, i, s[i], rs[i])
+			}
+		}
 	}
 }

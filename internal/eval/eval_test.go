@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -58,6 +61,50 @@ func TestSeriesSummarize(t *testing.T) {
 	}
 }
 
+// TestSeriesJSONNonFinite pins the JSON form of non-finite points:
+// spelled-out strings that decode back to the same values, while
+// finite points keep encoding/json's number form.
+func TestSeriesJSONNonFinite(t *testing.T) {
+	s := Series{Name: "e", X: []float64{1, 2.5, 3, 4}, Y: []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0.1}}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Name":"e","XLabel":"","YLabel":"","X":[1,2.5,3,4],"Y":["+Inf","-Inf","NaN",0.1]}`
+	if string(b) != want {
+		t.Fatalf("marshal = %s, want %s", b, want)
+	}
+	var back Series
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(back.Y[0], 1) || !math.IsInf(back.Y[1], -1) || !math.IsNaN(back.Y[2]) ||
+		back.Y[3] != 0.1 || back.X[1] != 2.5 || back.Name != "e" {
+		t.Fatalf("round trip = %+v", back)
+	}
+	if err := json.Unmarshal([]byte(`{"Y":["Inf"]}`), &back); err == nil {
+		t.Fatal("unknown non-finite spelling decoded without error")
+	}
+}
+
+// reportJSONRoundTrips encodes a report as remeval -json does, decodes
+// it and encodes it again: both encodings must succeed and agree.
+func reportJSONRoundTrips(t *testing.T, rep *Report) {
+	t.Helper()
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("%s: json: %v", rep.ID, err)
+	}
+	var back Report
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("%s: decode: %v", rep.ID, err)
+	}
+	b2, err := json.Marshal(&back)
+	if err != nil || !bytes.Equal(b, b2) {
+		t.Fatalf("%s: JSON does not round-trip (err %v)", rep.ID, err)
+	}
+}
+
 func TestConfigNormalization(t *testing.T) {
 	c := Config{}.normalized()
 	if c.Seeds != 3 || c.DurationSec != 1500 {
@@ -89,6 +136,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(out) < 40 {
 				t.Fatalf("%s: render too short:\n%s", e.ID, out)
 			}
+			reportJSONRoundTrips(t, rep)
 		})
 	}
 }

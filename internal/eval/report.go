@@ -6,7 +6,9 @@
 package eval
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -65,6 +67,81 @@ type Series struct {
 	XLabel string
 	YLabel string
 	X, Y   []float64
+}
+
+// MarshalJSON encodes the series with non-finite points spelled out as
+// the strings "+Inf", "-Inf" and "NaN", which JSON numbers cannot
+// carry (fig13's SNR error is +Inf where an estimator fails). Finite
+// points encode exactly as plain float64s do.
+func (s Series) MarshalJSON() ([]byte, error) {
+	type plain Series
+	return json.Marshal(struct {
+		plain
+		X, Y []jsonFloat
+	}{plain(s), convertFloats[jsonFloat](s.X), convertFloats[jsonFloat](s.Y)})
+}
+
+// UnmarshalJSON is MarshalJSON's inverse.
+func (s *Series) UnmarshalJSON(b []byte) error {
+	type plain Series
+	var v struct {
+		plain
+		X, Y []jsonFloat
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*s = Series(v.plain)
+	s.X, s.Y = convertFloats[float64](v.X), convertFloats[float64](v.Y)
+	return nil
+}
+
+// jsonFloat is a float64 whose JSON form encodes ±Inf and NaN as
+// strings.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	switch x := float64(f); {
+	case math.IsInf(x, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(x, -1):
+		return []byte(`"-Inf"`), nil
+	case math.IsNaN(x):
+		return []byte(`"NaN"`), nil
+	default:
+		return json.Marshal(x)
+	}
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+	default:
+		var x float64
+		if err := json.Unmarshal(b, &x); err != nil {
+			return err
+		}
+		*f = jsonFloat(x)
+	}
+	return nil
+}
+
+// convertFloats converts between float64 and jsonFloat slices, keeping
+// nil as nil so that absent series still encode as null.
+func convertFloats[To, From ~float64](xs []From) []To {
+	if xs == nil {
+		return nil
+	}
+	out := make([]To, len(xs))
+	for i, x := range xs {
+		out[i] = To(x)
+	}
+	return out
 }
 
 // Summarize renders a compact textual view of the series: endpoints

@@ -795,6 +795,11 @@ func survivesCorruption(inj *fault.Injector, msg rrcEncoder) bool {
 // StepTo processes every tick with simulated time <= t (and within the
 // scenario duration). It is a no-op when t is behind the clock.
 func (r *Runner) StepTo(t float64) {
+	// Pull the radio's generator state for the coming ticks into cache
+	// first (a hint: an estimate off by a tick changes nothing).
+	if n := min(int(t/r.cfg.TickSec)+1, r.steps) - r.i; n > 0 {
+		r.sc.Env.Warm(n)
+	}
 	for r.i < r.steps {
 		tt := float64(r.i) * r.cfg.TickSec
 		if tt > t {

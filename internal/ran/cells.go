@@ -33,6 +33,7 @@ type BaseStation struct {
 	ID    int
 	Pos   geo.Point
 	Cells []*Cell
+	idx   int // index in the deployment's BSs
 }
 
 // Deployment is the full cell layout along the track.
@@ -40,7 +41,8 @@ type Deployment struct {
 	BSs      []*BaseStation
 	Cells    []*Cell
 	cellByID map[int]*Cell
-	chanByID []int // dense channel index (cell IDs start at 1)
+	chanByID []int   // dense channel index (cell IDs start at 1)
+	cellIdx  []int32 // dense cell ID → index in Cells
 }
 
 // CellByID resolves a cell, or nil.
@@ -71,8 +73,13 @@ func (d *Deployment) buildIndex() {
 		}
 	}
 	d.chanByID = make([]int, maxID+1)
-	for _, c := range d.Cells {
+	d.cellIdx = make([]int32, maxID+1)
+	for i, c := range d.Cells {
 		d.chanByID[c.ID] = c.Channel
+		d.cellIdx[c.ID] = int32(i)
+	}
+	for i, bs := range d.BSs {
+		bs.idx = i
 	}
 }
 

@@ -138,12 +138,20 @@ type MeasEngine struct {
 	reports    []Report // reused by evaluate; valid until the next Tick
 
 	// ruleCands[ri] lists, in ascending dense-ID order, the non-serving
-	// cells that pass rule ri's TargetChannel filter. The deployment
-	// and serving cell are fixed between Resets, so evaluate can walk
-	// these short lists instead of re-filtering the full ID range per
-	// rule per tick. Backed by candBuf, reused across Resets.
-	ruleCands [][]int32
-	candBuf   []int32
+	// cells that pass rule ri's TargetChannel filter, each with the
+	// rule's effective offset toward it (A3 pair overrides resolved).
+	// The deployment, policy and serving cell are fixed between Resets,
+	// so evaluate can walk these short lists instead of re-filtering the
+	// full ID range and looking up offsets per rule per tick. Backed by
+	// candBuf, reused across Resets.
+	ruleCands [][]measCand
+	candBuf   []measCand
+}
+
+// measCand is one candidate target of a handover rule.
+type measCand struct {
+	id       int32
+	offsetDB float64
 }
 
 // NewMeasEngine builds the engine for a serving cell and its policy.
@@ -214,11 +222,11 @@ func (e *MeasEngine) Reset(pol *policy.Policy, servingCell int) {
 	// re-filtering inline — minus the per-tick cost.
 	stride := len(e.values)
 	if maxCand := len(pol.Rules) * (stride - 1); cap(e.candBuf) < maxCand {
-		e.candBuf = make([]int32, 0, maxCand)
+		e.candBuf = make([]measCand, 0, maxCand)
 	}
 	e.candBuf = e.candBuf[:0]
 	if cap(e.ruleCands) < len(pol.Rules) {
-		e.ruleCands = make([][]int32, len(pol.Rules))
+		e.ruleCands = make([][]measCand, len(pol.Rules))
 	}
 	e.ruleCands = e.ruleCands[:len(pol.Rules)]
 	for ri, r := range pol.Rules {
@@ -231,7 +239,11 @@ func (e *MeasEngine) Reset(pol *policy.Policy, servingCell int) {
 				if r.TargetChannel != 0 && e.Dep.ChannelOf(id) != r.TargetChannel {
 					continue
 				}
-				e.candBuf = append(e.candBuf, int32(id))
+				off := r.OffsetDB
+				if r.Type == policy.A3 {
+					off = pol.A3OffsetFor(r, id)
+				}
+				e.candBuf = append(e.candBuf, measCand{id: int32(id), offsetDB: off})
 			}
 		}
 		e.ruleCands[ri] = e.candBuf[start:len(e.candBuf):len(e.candBuf)]
@@ -456,16 +468,14 @@ func (e *MeasEngine) evaluate(t float64) []Report {
 			continue
 		}
 		ttt := e.tttSince[ri*stride : (ri+1)*stride]
-		for _, cid := range e.ruleCands[ri] {
-			id := int(cid)
+		for _, cand := range e.ruleCands[ri] {
+			id := int(cand.id)
 			v := e.values[id]
 			if !v.valid {
 				continue
 			}
 			eff := r
-			if r.Type == policy.A3 {
-				eff.OffsetDB = e.Policy.A3OffsetFor(r, id)
-			}
+			eff.OffsetDB = cand.offsetDB
 			if eff.Satisfied(serv.metric, v.metric) {
 				since := ttt[id]
 				if since < 0 {

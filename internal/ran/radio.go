@@ -123,6 +123,52 @@ type cellRadioState struct {
 	ici      float64 // ofdm.ICIPowerRatio at this carrier
 }
 
+// Distance checkpoints. The distance term is the one Log10 of a
+// snapshot, yet a cell's visibility needs only to know on which side
+// of the −140 dBm floor its mean RSRP lies. Each site keeps an interval
+// [c−checkpointM, c+checkpointM] around a distance c it has seen, with
+// DistTermDB evaluated at both ends and widened by checkpointSlackDB
+// (far more than Log10's rounding error, so the bounds hold even if
+// that is not monotone to the last ulp). While the client stays inside
+// the interval the true term lies between the bounds, and since every
+// float operation from the term to the mean RSRP is monotone under
+// rounding, a decision taken at a bound is the decision the exact term
+// gives.
+const (
+	checkpointM       = 250
+	checkpointSlackDB = 1e-9
+)
+
+// siteDist is one site's distance checkpoint and this tick's distance.
+type siteDist struct {
+	c              float64 // checkpoint centre (m); NaN until first use
+	termLo, termHi float64 // bounds on DistTermDB over the interval
+	d              float64 // the client's distance at the current snapshot
+	term           float64 // DistTermDB(d) once computed, else NaN
+}
+
+// at sets the site's distance for a snapshot, moving the checkpoint
+// when d leaves its interval.
+func (sd *siteDist) at(pl geo.PathLoss, d float64) {
+	sd.d, sd.term = d, math.NaN()
+	if d >= sd.c-checkpointM && d <= sd.c+checkpointM {
+		return
+	}
+	sd.c = d
+	a, b := pl.DistTermDB(math.Max(d-checkpointM, 0)), pl.DistTermDB(d+checkpointM)
+	sd.termLo = math.Min(a, b) - checkpointSlackDB
+	sd.termHi = math.Max(a, b) + checkpointSlackDB
+}
+
+// distTerm returns the exact DistTermDB at the site's current distance,
+// computed at most once per snapshot.
+func (sd *siteDist) distTerm(pl geo.PathLoss) float64 {
+	if math.IsNaN(sd.term) {
+		sd.term = pl.DistTermDB(sd.d)
+	}
+	return sd.term
+}
+
 // RadioSnap is the flat per-tick radio view: one slot per cell,
 // indexed by the deployment's dense cell IDs (slot 0 unused). A slot
 // is meaningful only while Visible reports true — invisible slots
@@ -142,7 +188,13 @@ type RadioSnap struct {
 	mean  []float64 // pre-fade mean RSRP (dBm)
 	fadeP []float64 // linear fading power gain
 	iciF  []float64 // Doppler ICI power ratio
-	n     int
+	// Pending distance term: a slot the environment marked pend holds
+	// only its shadowing sum in mean; the first read resolves the exact
+	// mean RSRP and DDSNR through env. Slots are marked pend only when
+	// the distance bounds already proved the cell visible.
+	pend []bool
+	env  *RadioEnv
+	n    int
 }
 
 // NewRadioSnap returns an empty snapshot sized for cell IDs 1..maxID.
@@ -157,6 +209,7 @@ func NewRadioSnap(maxID int) *RadioSnap {
 		mean:  make([]float64, maxID+1),
 		fadeP: make([]float64, maxID+1),
 		iciF:  make([]float64, maxID+1),
+		pend:  make([]bool, maxID+1),
 	}
 }
 
@@ -181,11 +234,12 @@ func (s *RadioSnap) Put(id int, cr CellRadio) {
 		s.mean = append(s.mean, 0)
 		s.fadeP = append(s.fadeP, 0)
 		s.iciF = append(s.iciF, 0)
+		s.pend = append(s.pend, false)
 	}
 	if !s.vis[id] {
 		s.n++
 	}
-	s.radio[id], s.vis[id], s.full[id] = cr, true, true
+	s.radio[id], s.vis[id], s.full[id], s.pend[id] = cr, true, true, false
 }
 
 // putLazy stores cell id's pre-conversion radio state: DDSNR is final,
@@ -195,14 +249,37 @@ func (s *RadioSnap) putLazy(id int, meanRSRP, meanSNR, fadeP, ici float64) {
 	if !s.vis[id] {
 		s.n++
 	}
-	s.vis[id], s.full[id] = true, false
+	s.vis[id], s.full[id], s.pend[id] = true, false, false
 	s.radio[id] = CellRadio{DDSNR: meanSNR}
 	s.mean[id], s.fadeP[id], s.iciF[id] = meanRSRP, fadeP, ici
+}
+
+// putPending stores a cell proved visible whose distance term is not
+// yet computed: mean holds the shadowing sum until resolve.
+func (s *RadioSnap) putPending(id int, shadow, fadeP, ici float64) {
+	if !s.vis[id] {
+		s.n++
+	}
+	s.vis[id], s.full[id], s.pend[id] = true, false, true
+	s.mean[id], s.fadeP[id], s.iciF[id] = shadow, fadeP, ici
+}
+
+// resolve computes a pending slot's mean RSRP and DDSNR from the exact
+// distance term — the operations the eager snapshot runs, in order.
+func (s *RadioSnap) resolve(id int) {
+	e := s.env
+	st := &e.cells[e.Dep.cellIdx[id]]
+	m := e.meanRSRP(st, e.sites[st.cell.BS.idx].distTerm(e.Cfg.PathLoss), s.mean[id])
+	s.radio[id] = CellRadio{DDSNR: e.meanSNR(m)}
+	s.mean[id], s.pend[id] = m, false
 }
 
 // fill derives a visible slot's fade-dependent fields — the same
 // operations, in the same order, the eager snapshot used to run.
 func (s *RadioSnap) fill(id int) {
+	if s.pend[id] {
+		s.resolve(id)
+	}
 	fadeDB := dsp.DB(s.fadeP[id])
 
 	// ICI behaves as self-noise: SINR = S/(N + ici·S).
@@ -243,6 +320,9 @@ func (s *RadioSnap) DD(id int) (float64, bool) {
 	if id < 0 || id >= len(s.vis) || !s.vis[id] {
 		return 0, false
 	}
+	if s.pend[id] {
+		s.resolve(id)
+	}
 	return s.radio[id].DDSNR, true
 }
 
@@ -272,9 +352,12 @@ type RadioEnv struct {
 	// hook returning false produce identical draw sequences.
 	CellDown func(cell int, t float64) bool
 
-	cells []cellRadioState
-	snap  *RadioSnap // reused across Snapshot calls
-	rng   *sim.RNG
+	cells  []cellRadioState // in Dep.Cells order
+	sites  []siteDist       // in Dep.BSs order
+	active []Hole           // the holes covering the current snapshot's position
+	snap   *RadioSnap       // reused across Snapshot calls
+	rng    *sim.RNG
+	warmed uint64 // sink for Warm's reads, so they are not dropped
 }
 
 // NewRadioEnv wires a radio environment over a deployment. It accepts
@@ -296,6 +379,11 @@ func NewRadioEnv(dep *Deployment, cfg RadioConfig, streams sim.StreamSource) *Ra
 		siteShadow[bs.ID] = chanmodel.NewShadowing(
 			streams.StreamBudget("ran.shadow.bs."+itoa(bs.ID), cfg.ShadowDrawBudget),
 			cfg.ShadowStdDB, cfg.ShadowDecorrM)
+	}
+	// Every checkpoint starts empty: no distance lies within NaN ± m.
+	e.sites = make([]siteDist, len(dep.BSs))
+	for i := range e.sites {
+		e.sites[i].c = math.NaN()
 	}
 	e.cells = make([]cellRadioState, len(dep.Cells))
 	for i, c := range dep.Cells {
@@ -369,11 +457,12 @@ func (e *RadioEnv) fadeSample(st *cellRadioState, t float64) float64 {
 
 // Snapshot returns the radio state of every cell at client position pos
 // and time t. Cells below the visibility floor (−140 dBm RSRP) are
-// omitted. Every slot's DDSNR is final on return; the fade-dependent
-// RSRP/SNR conversions are deferred to the slot's first Get, so ticks
-// that read only DD-SNR (REM policies, detached clients) never pay
-// them. The returned snapshot is owned by the environment and reused
-// by the next Snapshot/SnapshotDD call: consume it before advancing.
+// omitted. Visibility and every draw are final on return; a slot's
+// distance term may be deferred to its first read, and the
+// fade-dependent RSRP/SNR conversions to its first Get, so ticks that
+// read only DD-SNR (REM policies, detached clients) never pay them.
+// The returned snapshot is owned by the environment and reused by the
+// next Snapshot/SnapshotDD call: consume it before advancing.
 func (e *RadioEnv) Snapshot(pos geo.Point, t float64) *RadioSnap {
 	return e.snapshot(pos, t)
 }
@@ -396,16 +485,26 @@ func (e *RadioEnv) snapshot(pos geo.Point, t float64) *RadioSnap {
 			}
 		}
 		e.snap = NewRadioSnap(maxID)
+		e.snap.env = e
 	}
 	out := e.snap
 	out.Reset()
+	e.active = e.active[:0]
+	for _, h := range e.Cfg.Holes {
+		if pos.X >= h.StartX && pos.X <= h.EndX {
+			e.active = append(e.active, h)
+		}
+	}
 	// Co-sited cells are contiguous in e.cells (deployment appends
 	// per site, then per band) and share the base-station position,
-	// so the distance term — the lone Log10 in the loop — is computed
-	// once per site and the identical value reused for its siblings.
+	// so the distance is computed once per site. The distance term is
+	// bounded from the site's checkpoint: a cell the bounds prove
+	// invisible is dropped, one they prove visible is stored pending
+	// and gets its exact term on first read, and only a cell near the
+	// floor needs the exact term now.
 	var (
-		lastBS   *BaseStation
-		distTerm float64
+		lastBS *BaseStation
+		site   *siteDist
 	)
 	for i := range e.cells {
 		st := &e.cells[i]
@@ -415,24 +514,72 @@ func (e *RadioEnv) snapshot(pos geo.Point, t float64) *RadioSnap {
 		}
 		if c.BS != lastBS {
 			lastBS = c.BS
-			distTerm = e.Cfg.PathLoss.DistTermDB(pos.Distance(c.BS.Pos))
+			site = &e.sites[c.BS.idx]
+			site.at(e.Cfg.PathLoss, pos.Distance(c.BS.Pos))
 		}
-		pl := distTerm + st.freqTerm
 		sh := st.shadow.At(pos.X) + st.cellSh.At(pos.X)
-		meanRSRP := c.TxPowerDBm - pl - sh
-		for _, h := range e.Cfg.Holes {
-			if pos.X >= h.StartX && pos.X <= h.EndX && c.FreqHz >= h.MinFreqHz {
-				meanRSRP -= h.ExtraLossDB
-			}
+		if e.meanRSRP(st, site.termLo, sh) < -140 {
+			continue
 		}
+		if e.meanRSRP(st, site.termHi, sh) >= -140 {
+			out.putPending(c.ID, sh, e.fadeSample(st, t), st.ici)
+			continue
+		}
+		meanRSRP := e.meanRSRP(st, site.distTerm(e.Cfg.PathLoss), sh)
 		if meanRSRP < -140 {
 			continue
 		}
-		fade := e.fadeSample(st, t)
-		meanSNR := meanRSRP - e.Cfg.NoisePerREDBm - e.Cfg.InterfMarginDB
-		out.putLazy(c.ID, meanRSRP, meanSNR, fade, st.ici)
+		out.putLazy(c.ID, meanRSRP, e.meanSNR(meanRSRP), e.fadeSample(st, t), st.ici)
 	}
 	return out
+}
+
+// meanRSRP is a cell's pre-fade RSRP (dBm) for a distance term and
+// shadowing sum at the current snapshot's position. It is monotone
+// non-increasing in distTerm.
+func (e *RadioEnv) meanRSRP(st *cellRadioState, distTerm, sh float64) float64 {
+	pl := distTerm + st.freqTerm
+	m := st.cell.TxPowerDBm - pl - sh
+	for _, h := range e.active {
+		if st.cell.FreqHz >= h.MinFreqHz {
+			m -= h.ExtraLossDB
+		}
+	}
+	return m
+}
+
+func (e *RadioEnv) meanSNR(meanRSRP float64) float64 {
+	return meanRSRP - e.Cfg.NoisePerREDBm - e.Cfg.InterfMarginDB
+}
+
+// Warm pulls into cache the generator state that the next ticks
+// snapshots will draw from: every site and cell shadowing stream, and
+// the fading stream for as many cells as the last snapshot showed (see
+// sim.RNG.Warm). Called once before stepping a batch of ticks, it lets
+// the cache misses of a UE's many cold streams overlap. It reads only:
+// no draw, result or arena statistic changes.
+func (e *RadioEnv) Warm(ticks int) {
+	if ticks <= 0 {
+		return
+	}
+	n := ticks + 8 // a shadowing sample draws one word, rarely more
+	var (
+		last *chanmodel.Shadowing
+		acc  uint64
+	)
+	for i := range e.cells {
+		st := &e.cells[i]
+		if st.shadow != last {
+			last = st.shadow
+			acc ^= last.Warm(n)
+		}
+		acc ^= st.cellSh.Warm(n)
+	}
+	if e.snap != nil {
+		// Two normals per visible cell per tick.
+		acc ^= e.rng.Warm(2*ticks*e.snap.Len() + 8)
+	}
+	e.warmed = acc
 }
 
 // BestCell returns the cell with the strongest metric in a snapshot
@@ -452,6 +599,9 @@ func BestCell(snap *RadioSnap, byRSRP bool, floor float64) (int, float64, bool) 
 			}
 			v = snap.radio[id].RSRP
 		} else {
+			if snap.pend[id] {
+				snap.resolve(id)
+			}
 			v = snap.radio[id].DDSNR
 		}
 		if v < floor {

@@ -10,7 +10,7 @@ import (
 	"rem/internal/sim"
 )
 
-func testDeployment(t *testing.T, coSited float64) *Deployment {
+func testDeployment(t testing.TB, coSited float64) *Deployment {
 	t.Helper()
 	streams := sim.NewStreams(100)
 	dep, err := NewLinearDeployment(streams.Stream("dep"), DeploymentConfig{

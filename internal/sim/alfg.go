@@ -298,7 +298,8 @@ func (s *alfgSource) spill() {
 }
 
 // Uint64 returns the next raw generator word — bit-identical to
-// rand.NewSource(seed)'s word stream at the same position.
+// rand.NewSource(seed)'s word stream at the same position. The tape
+// and seeding paths live in tapeUint64, off the window's hot path.
 func (s *alfgSource) Uint64() uint64 {
 	if s.isVec {
 		tap, feed := s.tap-1, s.pos-1
@@ -313,6 +314,11 @@ func (s *alfgSource) Uint64() uint64 {
 		s.tap, s.pos = tap, feed
 		return x
 	}
+	return s.tapeUint64()
+}
+
+// tapeUint64 is Uint64 for an unseeded source or a tape.
+func (s *alfgSource) tapeUint64() uint64 {
 	if int(s.pos) < len(s.state) {
 		x := s.state[s.pos]
 		s.pos++
@@ -324,6 +330,47 @@ func (s *alfgSource) Uint64() uint64 {
 		s.spill()
 	}
 	return s.Uint64()
+}
+
+// warm reads one word from every cache line that the next n raw words
+// will read: the feed and tap regions of a window, the next stretch of
+// a tape. An unseeded source has nothing to read and stays unseeded.
+// It returns the fold of the words read, for the caller to keep so
+// that the loads stay.
+func (s *alfgSource) warm(n int) uint64 {
+	if s.state == nil || n <= 0 {
+		return 0
+	}
+	if !s.isVec {
+		lo := int(s.pos)
+		return touchLines(s.state, lo, min(lo+n, len(s.state)))
+	}
+	n = min(n, alfgLen)
+	// Draws walk both cursors downwards from pos-1 and tap-1.
+	return touchBelow(s.state, int(s.pos), n) ^ touchBelow(s.state, int(s.tap), n)
+}
+
+// touchBelow folds one word per cache line of the n window slots below
+// index from, wrapping at the window's start.
+func touchBelow(w []uint64, from, n int) uint64 {
+	if from >= n {
+		return touchLines(w, from-n, from)
+	}
+	return touchLines(w, 0, from) ^ touchLines(w, len(w)-(n-from), len(w))
+}
+
+// touchLines folds one word per 64-byte line of w[lo:hi]: consecutive
+// reads eight words apart land on consecutive lines whatever the
+// alignment, and the last word covers the final line.
+func touchLines(w []uint64, lo, hi int) uint64 {
+	if lo >= hi {
+		return 0
+	}
+	var acc uint64
+	for i := lo; i < hi; i += 8 {
+		acc ^= w[i]
+	}
+	return acc ^ w[hi-1]
 }
 
 // Int63 implements rand.Source.
@@ -346,9 +393,10 @@ type boxedRNG struct {
 	src alfgSource
 }
 
-// newAlfgRNG returns an RNG over a lazily seeded ALFG source. All
-// distribution code is the untouched stdlib rand.Rand running on the
-// source, so sequences cannot drift from the rand.NewSource path.
+// newAlfgRNG returns an RNG over a lazily seeded ALFG source; a nil
+// arena makes it standalone. Uniform and normal draws run on the
+// source directly, the other distributions on a stdlib rand.Rand over
+// it, so sequences cannot drift from the rand.NewSource path.
 func newAlfgRNG(seed int64, arena *Arena, budget int) *RNG {
 	b := new(boxedRNG)
 	b.src.init(seed, arena, budget)
@@ -356,6 +404,6 @@ func newAlfgRNG(seed int64, arena *Arena, budget int) *RNG {
 	// holds only the source interfaces and scalar read state, so the
 	// copy is safe at construction time.
 	b.rr = *rand.New(&b.src)
-	b.g = RNG{r: &b.rr}
+	b.g = RNG{b: b}
 	return &b.g
 }

@@ -104,11 +104,61 @@ func TestALFGMulMod(t *testing.T) {
 	}
 }
 
+// drawer is the RNG method surface, so a generator can be compared
+// with the stdlib reference below.
+type drawer interface {
+	Float64() float64
+	Norm() float64
+	Exp(mean float64) float64
+	Intn(n int) int
+	Perm(n int) []int
+	ComplexNorm(sigma2 float64) complex128
+	Rayleigh(sigma float64) float64
+	Uniform(lo, hi float64) float64
+	Gauss(mean, std float64) float64
+	Bool(p float64) bool
+}
+
+// stdRNG is the reference: every RNG method written on an untouched
+// stdlib rand.New(rand.NewSource(seed)).
+type stdRNG struct{ r *rand.Rand }
+
+func newStdRNG(seed int64) stdRNG { return stdRNG{rand.New(rand.NewSource(seed))} }
+
+// stdStream is the reference for stream name under master seed: the
+// stdlib generator at the seed the factories derive, hashed here with
+// hash/fnv rather than the package's inlined fnv64a.
+func stdStream(master int64, name string) stdRNG {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return newStdRNG(master ^ int64(h.Sum64()))
+}
+
+func (g stdRNG) Float64() float64                { return g.r.Float64() }
+func (g stdRNG) Norm() float64                   { return g.r.NormFloat64() }
+func (g stdRNG) Exp(mean float64) float64        { return g.r.ExpFloat64() * mean }
+func (g stdRNG) Intn(n int) int                  { return g.r.Intn(n) }
+func (g stdRNG) Perm(n int) []int                { return g.r.Perm(n) }
+func (g stdRNG) Uniform(lo, hi float64) float64  { return lo + (hi-lo)*g.r.Float64() }
+func (g stdRNG) Gauss(mean, std float64) float64 { return mean + std*g.r.NormFloat64() }
+func (g stdRNG) Bool(p float64) bool             { return g.r.Float64() < p }
+func (g stdRNG) ComplexNorm(sigma2 float64) complex128 {
+	s := math.Sqrt(sigma2 / 2)
+	return complex(s*g.r.NormFloat64(), s*g.r.NormFloat64())
+}
+func (g stdRNG) Rayleigh(sigma float64) float64 {
+	u := g.r.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	return sigma * math.Sqrt(-2*math.Log(1-u))
+}
+
 // drawMix exercises every RNG distribution method in a fixed rotation
 // and returns a value per step, so two generators can be compared
 // across the full method surface (Float64, Norm, Exp, Intn, Perm,
 // ComplexNorm, Rayleigh, Uniform, Gauss, Bool).
-func drawMix(g *RNG, steps int, sink func(vs ...float64)) {
+func drawMix(g drawer, steps int, sink func(vs ...float64)) {
 	for i := 0; i < steps; i++ {
 		switch i % 10 {
 		case 0:
@@ -145,7 +195,7 @@ func drawMix(g *RNG, steps int, sink func(vs ...float64)) {
 
 // compareRNGs drives two RNGs through the identical method rotation
 // and requires bitwise-equal outputs.
-func compareRNGs(t *testing.T, name string, a, b *RNG, steps int) {
+func compareRNGs(t *testing.T, name string, a, b drawer, steps int) {
 	t.Helper()
 	var av, bv []float64
 	drawMix(a, steps, func(vs ...float64) { av = append(av, vs...) })
@@ -162,15 +212,14 @@ func compareRNGs(t *testing.T, name string, a, b *RNG, steps int) {
 
 // TestArenaStreamMatchesEagerStream is the distribution-level golden
 // cross-check: for every cross seed, an arena-backed lazily seeded
-// stream must match the eager stdlib stream of the same (seed, name)
-// over every RNG method — unbudgeted (window), small-budgeted (tape),
+// stream must match rand.New(rand.NewSource(s)) at the seed derived
+// for the same (seed, name) over every RNG method — unbudgeted (window), small-budgeted (tape),
 // and a deliberately undersized budget that forces a spill across the
 // comparison horizon (the lazy-seed and tape-exhaustion boundaries are
 // exactly where a porting bug would strike).
 func TestArenaStreamMatchesEagerStream(t *testing.T) {
 	const steps = 4000 // ~8k draws: far past any tape and several window wraps
 	for _, seed := range crossSeeds {
-		eager := NewStreams(seed)
 		for _, tc := range []struct {
 			name   string
 			budget int
@@ -185,7 +234,7 @@ func TestArenaStreamMatchesEagerStream(t *testing.T) {
 			as := arena.Streams(seed)
 			compareRNGs(t, tc.name,
 				as.StreamBudget("cross."+tc.name, tc.budget),
-				eager.Stream("cross."+tc.name), steps)
+				stdStream(seed, "cross."+tc.name), steps)
 			if tc.budget > 0 && tc.budget < 500 {
 				if sp := arena.Stats().Spills; sp != 1 {
 					t.Fatalf("%s seed %d: expected exactly one spill, got %d", tc.name, seed, sp)
@@ -197,13 +246,12 @@ func TestArenaStreamMatchesEagerStream(t *testing.T) {
 
 // TestArenaStreamLazySeedBoundary interleaves two streams so one seeds
 // long after the other has drawn thousands of values: seeding time
-// must not leak between streams.
+// must not leak between streams. The reference is the stdlib.
 func TestArenaStreamLazySeedBoundary(t *testing.T) {
 	arena := NewArena()
 	as := arena.Streams(99)
-	eager := NewStreams(99)
 	a, b := as.Stream("a"), as.StreamBudget("b", 64)
-	ea, eb := eager.Stream("a"), eager.Stream("b")
+	ea, eb := stdStream(99, "a"), stdStream(99, "b")
 	for i := 0; i < 5000; i++ {
 		if got, want := a.Float64(), ea.Float64(); got != want {
 			t.Fatalf("stream a draw %d: %v != %v", i, got, want)
@@ -262,12 +310,11 @@ func TestArenaAccounting(t *testing.T) {
 
 // TestArenaConcurrentDerivation is the race-coverage satellite: many
 // goroutines deriving, lazily seeding, and spilling streams from one
-// shared arena, under -race in CI. Values must still match the eager
-// factory per stream.
+// shared arena, under -race in CI. Values must still match the stdlib
+// generator per stream.
 func TestArenaConcurrentDerivation(t *testing.T) {
 	arena := NewArena()
 	as := arena.Streams(41)
-	eager := NewStreams(41)
 	const workers = 16
 	const streamsPer = 8
 	errc := make(chan error, workers)
@@ -276,7 +323,7 @@ func TestArenaConcurrentDerivation(t *testing.T) {
 			for s := 0; s < streamsPer; s++ {
 				name := "race." + string(rune('a'+w)) + "." + string(rune('a'+s))
 				g := as.StreamBudget(name, 20) // tiny budget: most spill
-				e := eager.Stream(name)
+				e := stdStream(41, name)
 				for i := 0; i < 500; i++ {
 					if got, want := g.Float64(), e.Float64(); got != want {
 						errc <- fmt.Errorf("worker %d stream %q draw %d: %v != %v", w, name, i, got, want)

@@ -20,55 +20,67 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"strconv"
 )
 
-// RNG wraps math/rand with a few distributions the channel and network
-// models need. It is deliberately not safe for concurrent use; create
-// one stream per logical noise source — and, in parallel code, one
-// stream per work item (see Streams and the package comment).
+// RNG draws from the math/rand generator with a few distributions the
+// channel and network models need. Every stream runs on an alfgSource,
+// the bit-exact port of rand.NewSource's generator (alfg.go): uniform
+// and normal draws run directly on it (normal.go), the rest through a
+// stdlib rand.Rand over the same source, so every method returns
+// exactly what rand.New(rand.NewSource(seed)) would. It is
+// deliberately not safe for concurrent use; create one stream per
+// logical noise source — and, in parallel code, one stream per work
+// item (see Streams and the package comment).
 type RNG struct {
-	r *rand.Rand
+	b *boxedRNG // the box holding this RNG, its source and its rand.Rand
 }
 
-// NewRNG returns a deterministic generator for the given seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
+// NewRNG returns a deterministic generator for the given seed. Its
+// state is seeded on first draw.
+func NewRNG(seed int64) *RNG { return newAlfgRNG(seed, nil, 0) }
+
+// Warm reads, one word per cache line, the generator state that the
+// next draws raw words will touch, so that a caller about to draw from
+// many cold streams can take their cache misses together instead of
+// one stall per draw. It only reads: an unseeded stream stays
+// unseeded, and no later draw changes. The result is a fold of the
+// words read; keep it (in a field that outlives the call) so the
+// compiler cannot drop the loads.
+func (g *RNG) Warm(draws int) uint64 { return g.b.src.warm(draws) }
 
 // Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.b.src.float64() }
 
 // Intn returns a uniform sample in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.b.rr.Intn(n) }
 
 // Norm returns a standard normal sample.
-func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
+func (g *RNG) Norm() float64 { return g.b.src.normFloat64() }
 
 // Gauss returns a normal sample with the given mean and stddev.
-func (g *RNG) Gauss(mean, std float64) float64 { return mean + std*g.r.NormFloat64() }
+func (g *RNG) Gauss(mean, std float64) float64 { return mean + std*g.b.src.normFloat64() }
 
 // Exp returns an exponential sample with the given mean (> 0).
-func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
+func (g *RNG) Exp(mean float64) float64 { return g.b.rr.ExpFloat64() * mean }
 
 // Uniform returns a uniform sample in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
+func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.b.src.float64() }
 
 // Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+func (g *RNG) Bool(p float64) bool { return g.b.src.float64() < p }
 
 // ComplexNorm returns a circularly-symmetric complex Gaussian sample
 // with total variance sigma2 (variance sigma2/2 per component). This is
 // the standard model for both Rayleigh channel taps and AWGN.
 func (g *RNG) ComplexNorm(sigma2 float64) complex128 {
 	s := math.Sqrt(sigma2 / 2)
-	return complex(s*g.r.NormFloat64(), s*g.r.NormFloat64())
+	return complex(s*g.b.src.normFloat64(), s*g.b.src.normFloat64())
 }
 
 // Rayleigh returns a Rayleigh-distributed sample with scale sigma.
 func (g *RNG) Rayleigh(sigma float64) float64 {
-	u := g.r.Float64()
+	u := g.b.src.float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
@@ -76,7 +88,7 @@ func (g *RNG) Rayleigh(sigma float64) float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.b.rr.Perm(n) }
 
 // Streams derives independent named RNGs from a master seed, so that
 // adding a new consumer never perturbs the draws seen by existing ones
@@ -98,8 +110,8 @@ func (s *Streams) Stream(name string) *RNG {
 }
 
 // StreamBudget returns the same stream as Stream(name). The draw
-// budget is an arena-path residency hint (see ArenaStreams); the
-// eager stdlib representation has nothing to size by it, so it is
+// budget is an arena-path residency hint (see ArenaStreams); a
+// standalone stream always seeds a full window, so the hint is
 // accepted — keeping call sites uniform across factories — and
 // ignored.
 func (s *Streams) StreamBudget(name string, budget int) *RNG { return s.Stream(name) }
@@ -108,7 +120,7 @@ func (s *Streams) StreamBudget(name string, budget int) *RNG { return s.Stream(n
 func (s *Streams) Seed() int64 { return s.seed }
 
 // StreamSource is the factory interface scenario builders consume, so
-// a build can run on either eagerly seeded heap streams (*Streams, the
+// a build can run on either standalone heap streams (*Streams, the
 // single-run path) or lazily seeded arena streams (*ArenaStreams, the
 // fleet path). Both derive seeds identically: for every name and
 // master seed the two factories' RNGs emit the same draw sequence.
