@@ -509,7 +509,7 @@ func (e *Engine) StepEpoch(ctx context.Context) (done bool, err error) {
 
 // RNGStats returns a snapshot of the fleet's RNG arena accounting:
 // stream/seeded/tape/window counts, spills, and resident bytes. It is
-// the basis of rembench's bytes-of-RNG-state-per-UE stat.
+// the basis of BenchmarkEpoch's bytes-of-RNG-state-per-UE metric.
 func (e *Engine) RNGStats() sim.ArenaStats { return e.arena.Stats() }
 
 // Finish finalizes every runner (UE order), replays outages through

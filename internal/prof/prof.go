@@ -1,5 +1,5 @@
 // Package prof wires Go's runtime profilers into the CLI tools: the
-// rembench/pprof workflow that drove this repo's hot-path optimization
+// benchmark/pprof workflow that drove this repo's hot-path optimization
 // (see DESIGN.md) should stay one flag away.
 package prof
 

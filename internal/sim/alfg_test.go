@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -284,8 +285,9 @@ func TestALFGSeedReset(t *testing.T) {
 	}
 }
 
-// TestArenaAccounting checks the stats the rembench per-UE stat is
-// built on: streams/seeded/tape/vec counts and live bytes.
+// TestArenaAccounting checks the stats the fleet's RNG-bytes-per-UE
+// benchmark metric is built on: streams/seeded/tape/vec counts and
+// live bytes.
 func TestArenaAccounting(t *testing.T) {
 	arena := NewArena()
 	as := arena.Streams(3)
@@ -360,16 +362,55 @@ func TestFNVInlineMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestStreamDerivationZeroAlloc pins the satellite fix: deriving a
-// stream name must not allocate a hasher (the RNG box itself and the
-// stdlib source are counted and expected).
+// rngSink makes a derived stream escape, as it does when a runner
+// stores it, so the compiler cannot keep the RNG box on the stack.
+var rngSink *RNG
+
+// TestStreamDerivationZeroAlloc pins what deriving a stream costs the
+// heap: hashing the name allocates nothing, and a lazy arena stream or
+// a seed window carved from a warm arena chunk allocates the RNG box
+// alone — one 112 B object, with no hasher and no stdlib source.
 func TestStreamDerivationZeroAlloc(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = fnv64a("ran.shadow.cell.123")
-	})
-	if allocs != 0 {
-		t.Fatalf("fnv64a allocates %v per run, want 0", allocs)
+	lazy := NewArena().Streams(1)
+	windows := NewArena().Streams(1)
+	windows.Stream("warm").Float64() // carve the arena chunk outside the count
+	cases := []struct {
+		name          string
+		fn            func()
+		allocs, bytes uint64
+	}{
+		{"fnv64a", func() { _ = fnv64a("ran.shadow.cell.123") }, 0, 0},
+		{"lazy_stream", func() { rngSink = lazy.StreamBudget("ran.shadow.cell.123", 64) }, 1, 112},
+		{"seed_window", func() {
+			rngSink = windows.Stream("ran.shadow.cell.123")
+			rngSink.Float64()
+		}, 1, 112},
 	}
+	for _, c := range cases {
+		// 50 windows fit in the warm 512 KiB chunk, so no run carves a
+		// new one.
+		allocs, bytes := heapPerRun(50, c.fn)
+		if allocs != c.allocs || bytes != c.bytes {
+			t.Errorf("%s: %d allocs, %d B per run, want %d allocs, %d B",
+				c.name, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+}
+
+// heapPerRun is testing.AllocsPerRun that also reports bytes: f runs
+// once to warm up, then runs times on one P, and the heap objects and
+// bytes of the timed runs are averaged.
+func heapPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
 }
 
 func BenchmarkALFGUint64(b *testing.B) {
@@ -380,4 +421,52 @@ func BenchmarkALFGUint64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src.Uint64()
 	}
+}
+
+// BenchmarkStreamNew is the standalone stream-derivation cost: one op
+// hashes the name and boxes a generator that seeds its own heap window
+// on first draw.
+func BenchmarkStreamNew(b *testing.B) {
+	streams := NewStreams(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rngSink = streams.Stream("bench.stream")
+	}
+}
+
+// BenchmarkStreamNewLazy is the arena twin: one op derives the same
+// stream from the fleet's arena factory, with seeding deferred to a
+// first draw that never comes — the cost a fleet build pays per stream
+// that is created but may stay cold.
+func BenchmarkStreamNewLazy(b *testing.B) {
+	streams := NewArena().Streams(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rngSink = streams.StreamBudget("bench.stream", 64)
+	}
+}
+
+// BenchmarkSeedWindow is the set-up cost a fleet pays per unbounded
+// stream: one op derives an arena stream and takes its first draw,
+// which seeds its 607-word window. Every 100 ops the arena is replaced
+// with the clock stopped, and one warm-up window carves its 512 KiB
+// chunk there too, so resident memory stays bounded and the timed ops
+// fit in that chunk.
+func BenchmarkSeedWindow(b *testing.B) {
+	var streams *ArenaStreams
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%100 == 0 {
+			b.StopTimer()
+			streams = NewArena().Streams(1)
+			sink += streams.Stream("bench.warm").Float64()
+			b.StartTimer()
+		}
+		sink += streams.Stream("bench.stream").Float64()
+	}
+	_ = sink
 }

@@ -365,3 +365,24 @@ func TestBuild5GProjection(t *testing.T) {
 		t.Fatal("no handovers in the 5G projection")
 	}
 }
+
+// BenchmarkBuildFleetShared builds one shared REM world for a 1200 s
+// Beijing-Shanghai run: deployment, policy simplification and Theorem 2
+// enforcement over the complete cell graph, the set-up a long served
+// run pays before its first epoch.
+func BenchmarkBuildFleetShared(b *testing.B) {
+	cfg := FleetConfig{BuildConfig: BuildConfig{
+		Dataset: Describe(BeijingShanghai), Mode: REM,
+		SpeedKmh: 300, Duration: 1200, Seed: 1,
+	}}
+	var shared *Shared
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if shared, err = BuildFleetShared(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(shared.Dep.Cells)), "cells")
+}
