@@ -195,7 +195,7 @@ func (m *Member) handleStep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFinish finalizes a completed shard and ships its raw state:
-// per-UE totals under global ids, shard-local admission and cell
+// per-UE outcomes under global ids, shard-local admission and cell
 // tallies, the metrics dump and the final timeline batch (TCP stall
 // replay included). The response is cached and the engine released;
 // the shard entry stays resident so a retry after a lost response
@@ -224,22 +224,8 @@ func (m *Member) handleFinish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sr.timeline = sr.timeline[:0]
-	results := sr.eng.FinishResults()
-	offset := sr.eng.Spec().UEOffset
-	resp := &finishResponse{
-		UEs:     make([]UETotals, len(results)),
-		Blocked: sr.eng.Blocked(),
-		Cells:   sr.eng.CellStats(),
-	}
-	for i, res := range results {
-		resp.UEs[i] = totalsFromResult(offset+i, res)
-	}
-	if tots := sr.eng.TransportTotals(); tots != nil {
-		for i := range resp.UEs {
-			tt := tots[i]
-			resp.UEs[i].Transport = &tt
-		}
-	}
+	sh := sr.eng.FinishShard()
+	resp := &finishResponse{UEs: sh.Outcomes, Blocked: sh.Blocked, Cells: sh.Cells}
 	if sr.tel != nil {
 		resp.Metrics = sr.tel.Registry.Dump()
 		resp.Timeline = sr.timeline

@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"rem/internal/fleet"
-	"rem/internal/mobility"
 	"rem/internal/obs"
-	"rem/internal/transport"
 )
 
 // Range is one shard's contiguous UE id range.
@@ -382,42 +380,22 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 	dumps := make([]*obs.Dump, 0, shards)
 	var tail []obs.Event
 	for i, fr := range fins {
-		results := make([]*mobility.Result, len(fr.UEs))
-		for j, t := range fr.UEs {
-			if want := sts[i].rng.Offset + j; t.UE != want {
-				return nil, fmt.Errorf("cluster: shard %d returned UE %d at slot %d, want %d", i, t.UE, j, want)
-			}
-			res, err := t.reconstruct()
-			if err != nil {
-				return nil, err
-			}
-			results[j] = res
-		}
-		slices[i] = fleet.ShardSlice{Offset: sts[i].rng.Offset, Results: results, Blocked: fr.Blocked, Cells: fr.Cells}
-		if spec.Transport != nil {
-			tr := make([]transport.Totals, len(fr.UEs))
-			for j, t := range fr.UEs {
-				if t.Transport == nil {
-					return nil, fmt.Errorf("cluster: shard %d UE %d missing transport totals", i, t.UE)
-				}
-				tr[j] = *t.Transport
-			}
-			slices[i].Transport = tr
-		}
+		slices[i] = fleet.ShardSlice{Offset: sts[i].rng.Offset, Outcomes: fr.UEs, Blocked: fr.Blocked, Cells: fr.Cells}
 		if fr.Metrics != nil {
 			dumps = append(dumps, fr.Metrics)
 		}
 		tail = append(tail, fr.Timeline...)
+	}
+	result, err := fleet.MergeShards(spec, slices, peaks, finals)
+	if err != nil {
+		c.abortShards(rs, sts)
+		return nil, err
 	}
 	if len(tail) > 0 {
 		obs.SortEvents(tail)
 		if rs.hooks.OnTimeline != nil {
 			rs.hooks.OnTimeline(tail)
 		}
-	}
-	result, err := fleet.MergeShards(spec, slices, peaks, finals)
-	if err != nil {
-		return nil, err
 	}
 	// Finished shards hold their cached finish responses for the
 	// idempotent retry path; the run is merged, so sweep them away.

@@ -16,11 +16,12 @@
 // Every admission decision then sees exactly the loads a
 // single-process run would have frozen.
 //
-// Aggregation ships raw per-UE totals, not pre-folded summaries:
-// floating-point addition does not reassociate, so per-shard partial
-// sums would already be wrong in the last bits. The coordinator
-// reconstructs per-UE mobility results and reuses the fleet engine's
-// own fold (fleet.MergeShards) over global UE order; metric registries
+// Aggregation ships one outcome record per UE (fleet.UEOutcome), not
+// pre-folded summaries: floating-point addition does not reassociate,
+// so per-shard partial sums would already be wrong in the last bits.
+// The coordinator hands the decoded records straight to
+// fleet.MergeShards, which validates them and runs the fleet engine's
+// own fold over global UE order; metric registries
 // merge through the obs dump codec in ascending scope-ID order; and
 // timelines concatenate and re-sort by the total (time, UE, seq)
 // order. All three are byte-identical to single-process output, which
@@ -34,14 +35,9 @@
 package cluster
 
 import (
-	"fmt"
-
 	"rem/internal/fleet"
-	"rem/internal/mobility"
 	"rem/internal/obs"
-	"rem/internal/policy"
 	"rem/internal/trace"
-	"rem/internal/transport"
 )
 
 // Protocol paths (rooted on the member or coordinator mux).
@@ -153,15 +149,15 @@ type finishRequest struct {
 	Shard int    `json:"shard"`
 }
 
-// finishResponse carries the shard's raw terminal state: per-UE totals
-// for the deterministic re-fold, shard-local admission/cell tallies,
-// the raw metrics dump and the final timeline batch.
+// finishResponse carries the shard's raw terminal state: per-UE
+// outcomes for the deterministic re-fold, shard-local admission/cell
+// tallies, the raw metrics dump and the final timeline batch.
 type finishResponse struct {
-	UEs      []UETotals       `json:"ues"`
-	Blocked  int              `json:"blocked,omitempty"`
-	Cells    []fleet.CellStat `json:"cells"`
-	Metrics  *obs.Dump        `json:"metrics,omitempty"`
-	Timeline []obs.Event      `json:"timeline,omitempty"`
+	UEs      []fleet.UEOutcome `json:"ues"`
+	Blocked  int               `json:"blocked,omitempty"`
+	Cells    []fleet.CellStat  `json:"cells"`
+	Metrics  *obs.Dump         `json:"metrics,omitempty"`
+	Timeline []obs.Event       `json:"timeline,omitempty"`
 }
 
 // abortRequest drops a shard without finalizing it.
@@ -173,130 +169,4 @@ type abortRequest struct {
 // errorResponse is the JSON error body of any failed protocol call.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// UETotals is the wire form of one UE's mobility.Result, reduced to
-// exactly the fields the fleet aggregation reads. Scalar sums stay
-// exact over JSON (float64 round-trips bit-exactly; counts are ints),
-// and FeedbackDelays ships the full ordered slice because both
-// aggregation paths fold it sequentially — a partial sum would
-// reassociate the addition.
-type UETotals struct {
-	UE        int     `json:"ue"` // global id
-	Duration  float64 `json:"duration"`
-	Handovers int     `json:"handovers,omitempty"`
-	// FinalCell is the last handover's target (0 when none).
-	FinalCell int `json:"final_cell,omitempty"`
-	// Causes maps failure-cause names to counts (Table 2 taxonomy).
-	Causes         map[string]int `json:"causes,omitempty"`
-	FeedbackDelays []float64      `json:"feedback_delays,omitempty"`
-
-	ReportsDelivered int `json:"reports_delivered,omitempty"`
-	ReportsLost      int `json:"reports_lost,omitempty"`
-	CmdsDelivered    int `json:"cmds_delivered,omitempty"`
-	CmdsLost         int `json:"cmds_lost,omitempty"`
-
-	ReportsFaultDropped int `json:"reports_fault_dropped,omitempty"`
-	ReportsCorrupted    int `json:"reports_corrupted,omitempty"`
-	CmdsFaultDropped    int `json:"cmds_fault_dropped,omitempty"`
-	CmdsCorrupted       int `json:"cmds_corrupted,omitempty"`
-
-	// Transport is the UE's transport-plane totals, present exactly
-	// when the run's spec arms the plane. Every field of
-	// transport.Totals is a JSON-exact type (float64/int), so the
-	// coordinator's re-fold sees the member's bits unchanged.
-	Transport *transport.Totals `json:"transport,omitempty"`
-}
-
-// wireCauses is the fixed expansion order for reconstructed failure
-// lists, mirroring mobility's Table 2 taxonomy. Order never affects
-// any fold (per-cause tallies are independent and integer), but a
-// fixed order keeps reconstruction reproducible.
-var wireCauses = []mobility.FailureCause{
-	mobility.CauseFeedback,
-	mobility.CauseMissedCell,
-	mobility.CauseHOCmdLoss,
-	mobility.CauseCoverageHole,
-}
-
-// totalsFromResult reduces one finalized runner result to its wire
-// totals. ue is the global id.
-func totalsFromResult(ue int, res *mobility.Result) UETotals {
-	t := UETotals{
-		UE:                  ue,
-		Duration:            res.Duration,
-		Handovers:           len(res.Handovers),
-		ReportsDelivered:    res.ReportsDelivered,
-		ReportsLost:         res.ReportsLost,
-		CmdsDelivered:       res.CmdsDelivered,
-		CmdsLost:            res.CmdsLost,
-		ReportsFaultDropped: res.ReportsFaultDropped,
-		ReportsCorrupted:    res.ReportsCorrupted,
-		CmdsFaultDropped:    res.CmdsFaultDropped,
-		CmdsCorrupted:       res.CmdsCorrupted,
-	}
-	if n := len(res.Handovers); n > 0 {
-		t.FinalCell = res.Handovers[n-1].To
-	}
-	if len(res.Failures) > 0 {
-		t.Causes = make(map[string]int, 4)
-		for cause, n := range res.CauseCounts() {
-			t.Causes[cause.String()] += n
-		}
-	}
-	if len(res.FeedbackDelays) > 0 {
-		t.FeedbackDelays = append([]float64(nil), res.FeedbackDelays...)
-	}
-	return t
-}
-
-// reconstruct inflates the totals back into the minimal
-// mobility.Result the fleet aggregation reads: handover and failure
-// lists with the right lengths, the last handover's target, per-event
-// causes, and the scalar tallies. Fields the aggregation never touches
-// stay zero — summarize and eval.AggregateFleet only look at list
-// lengths, the final .To, CauseCounts, FaultLosses, FailureRatio and
-// the scalar fields carried above.
-func (t UETotals) reconstruct() (*mobility.Result, error) {
-	res := &mobility.Result{
-		Duration:            t.Duration,
-		ReportsDelivered:    t.ReportsDelivered,
-		ReportsLost:         t.ReportsLost,
-		CmdsDelivered:       t.CmdsDelivered,
-		CmdsLost:            t.CmdsLost,
-		ReportsFaultDropped: t.ReportsFaultDropped,
-		ReportsCorrupted:    t.ReportsCorrupted,
-		CmdsFaultDropped:    t.CmdsFaultDropped,
-		CmdsCorrupted:       t.CmdsCorrupted,
-		FeedbackDelays:      t.FeedbackDelays,
-	}
-	if t.Handovers > 0 {
-		res.Handovers = make([]policy.HandoverRecord, t.Handovers)
-		res.Handovers[t.Handovers-1].To = t.FinalCell
-	}
-	remaining := make(map[string]int, len(t.Causes))
-	total := 0
-	for name, n := range t.Causes {
-		if n < 0 {
-			return nil, fmt.Errorf("cluster: ue %d: negative count for cause %q", t.UE, name)
-		}
-		remaining[name] = n
-		total += n
-	}
-	if total > 0 {
-		res.Failures = make([]mobility.FailureEvent, 0, total)
-		for _, cause := range wireCauses {
-			name := cause.String()
-			for i := 0; i < remaining[name]; i++ {
-				res.Failures = append(res.Failures, mobility.FailureEvent{Cause: cause})
-			}
-			delete(remaining, name)
-		}
-		for name := range remaining {
-			if remaining[name] != 0 {
-				return nil, fmt.Errorf("cluster: ue %d: unknown failure cause %q", t.UE, name)
-			}
-		}
-	}
-	return res, nil
 }

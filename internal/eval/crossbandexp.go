@@ -138,7 +138,7 @@ func runFig12(cfg Config) (*Report, error) {
 				correct++
 			}
 		}
-		rep.Series = append(rep.Series, cdfSeries(s.name, "SNR error (dB)", errs))
+		rep.Series = append(rep.Series, CDFSeries(s.name, "SNR error (dB)", errs))
 		prec := float64(correct) / float64(draws)
 		precTable.Rows = append(precTable.Rows, []string{s.name, f2f(prec)})
 		rep.Notes = append(rep.Notes, fmt.Sprintf("%s: P90 error %.2f dB, precision %.2f",
@@ -267,7 +267,7 @@ func runFig13(cfg Config) (*Report, error) {
 	}
 	precTable := Table{Title: "Fig 13b: handover decision precision", Columns: []string{"method", "precision", "mean SNR error (dB)"}}
 	for _, mth := range methods {
-		rep.Series = append(rep.Series, cdfSeries(mth.name, "SNR error (dB)", mth.errs))
+		rep.Series = append(rep.Series, CDFSeries(mth.name, "SNR error (dB)", mth.errs))
 		precTable.Rows = append(precTable.Rows, []string{
 			mth.name, f2f(float64(mth.prec) / float64(draws)), f2(dsp.Mean(mth.errs)),
 		})

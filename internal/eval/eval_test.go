@@ -61,6 +61,23 @@ func TestSeriesSummarize(t *testing.T) {
 	}
 }
 
+// TestCDFSeries pins the empirical-CDF rendering: one point per sample,
+// monotone in both axes, reaching 1, whatever the input order.
+func TestCDFSeries(t *testing.T) {
+	s := CDFSeries("delay", "delay (s)", []float64{0.4, 0.2, 0.6})
+	if len(s.X) != 3 || len(s.Y) != 3 || s.YLabel != "CDF" {
+		t.Fatalf("CDF has %d/%d points (%q), want 3", len(s.X), len(s.Y), s.YLabel)
+	}
+	for i := 1; i < len(s.X); i++ {
+		if s.X[i] < s.X[i-1] || s.Y[i] < s.Y[i-1] {
+			t.Fatal("CDF not monotone")
+		}
+	}
+	if s.Y[len(s.Y)-1] != 1 {
+		t.Fatalf("CDF does not reach 1: %v", s.Y)
+	}
+}
+
 // TestSeriesJSONNonFinite pins the JSON form of non-finite points:
 // spelled-out strings that decode back to the same values, while
 // finite points keep encoding/json's number form.

@@ -175,9 +175,9 @@ func runFig2a(cfg Config) (*Report, error) {
 		Title: "Slow feedback: measurement delay CDF",
 		Paper: "HSR feedback averages ~800ms (client moves 44.6-78m); driving much faster",
 		Series: []Series{
-			cdfSeries("HSR (300-350km/h)", "delay (s)", hsr.FeedbackDelays),
-			cdfSeries("Driving (0-100km/h)", "delay (s)", drv.FeedbackDelays),
-			cdfSeries("HSR inter-frequency subset", "delay (s)", hsr.FeedbackDelaysInter),
+			CDFSeries("HSR (300-350km/h)", "delay (s)", hsr.FeedbackDelays),
+			CDFSeries("Driving (0-100km/h)", "delay (s)", drv.FeedbackDelays),
+			CDFSeries("HSR inter-frequency subset", "delay (s)", hsr.FeedbackDelaysInter),
 		},
 		Notes: []string{
 			fmt.Sprintf("mean feedback delay: HSR %.3fs vs driving %.3fs", dsp.Mean(hsr.FeedbackDelays), dsp.Mean(drv.FeedbackDelays)),
@@ -208,8 +208,8 @@ func runFig2b(cfg Config) (*Report, error) {
 		Title: "Block errors in signaling loss",
 		Paper: "avg block error rate before failures: uplink 9.9%, downlink 30.3%",
 		Series: []Series{
-			cdfSeries("uplink", "block error rate (%)", ul),
-			cdfSeries("downlink", "block error rate (%)", dl),
+			CDFSeries("uplink", "block error rate (%)", ul),
+			CDFSeries("downlink", "block error rate (%)", dl),
 		},
 		Notes: []string{
 			fmt.Sprintf("mean block error rate within 5s of a failure: uplink %.1f%%, downlink %.1f%% (n=%d/%d)",
@@ -353,8 +353,8 @@ func runFig14a(cfg Config) (*Report, error) {
 		Title: "Feedback delay reduction",
 		Paper: "average feedback latency 802.5ms (legacy) → 242.4ms (REM)",
 		Series: []Series{
-			cdfSeries("Legacy", "feedback delay (s)", leg.FeedbackDelays),
-			cdfSeries("REM", "feedback delay (s)", rem.FeedbackDelays),
+			CDFSeries("Legacy", "feedback delay (s)", leg.FeedbackDelays),
+			CDFSeries("REM", "feedback delay (s)", rem.FeedbackDelays),
 		},
 		Notes: []string{
 			fmt.Sprintf("mean: legacy %.3fs vs REM %.3fs", dsp.Mean(leg.FeedbackDelays), dsp.Mean(rem.FeedbackDelays)),
@@ -400,10 +400,12 @@ func runFig15(cfg Config) (*Report, error) {
 	}, nil
 }
 
-func cdfSeries(name, xlabel string, xs []float64) Series {
-	pts := dsp.CDF(xs)
+// CDFSeries reduces samples (any order; the CDF sorts) to an empirical
+// distribution series, the standard rendering for per-event delays and
+// per-UE quantities like goodput or stall time.
+func CDFSeries(name, xlabel string, xs []float64) Series {
 	s := Series{Name: name, XLabel: xlabel, YLabel: "CDF"}
-	for _, p := range pts {
+	for _, p := range dsp.CDF(xs) {
 		s.X = append(s.X, p.Value)
 		s.Y = append(s.Y, p.Prob)
 	}

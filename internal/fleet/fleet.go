@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"rem/internal/core"
-	"rem/internal/eval"
 	"rem/internal/fault"
 	"rem/internal/mobility"
 	"rem/internal/obs"
@@ -291,10 +290,6 @@ type Engine struct {
 	runObs      *runScopeObs
 	timelineBuf []obs.Event
 
-	// tpTotals is the per-UE transport totals (local UE order), filled
-	// by FinishResults when the transport plane is armed.
-	tpTotals []transport.Totals
-
 	// allocSamples is the runtime/metrics scratch for
 	// Progress.EpochAllocs (nil unless a Progress hook is installed).
 	allocSamples []gometrics.Sample
@@ -512,60 +507,56 @@ func (e *Engine) StepEpoch(ctx context.Context) (done bool, err error) {
 // the basis of BenchmarkEpoch's bytes-of-RNG-state-per-UE metric.
 func (e *Engine) RNGStats() sim.ArenaStats { return e.arena.Stats() }
 
-// Finish finalizes every runner (UE order), replays outages through
-// the TCP model when telemetry is armed, and aggregates the result.
-// Call it once, after StepEpoch reported done.
+// Finish finalizes every runner and folds the fleet result. Call it
+// once, after StepEpoch reported done.
 func (e *Engine) Finish() *Result {
-	return e.buildResult(e.FinishResults())
+	sh := e.FinishShard()
+	for id := range sh.Cells {
+		sh.Cells[id].FinalAttached = e.loads[id]
+	}
+	return assemble(e.spec, sh.Outcomes, sh.Blocked, sh.Cells)
 }
 
-// FinishResults is the raw half of Finish: it finalizes every runner
-// (UE order), replays outages through the TCP model and publishes the
-// final timeline batch when telemetry is armed, and returns the per-UE
-// mobility results (local order) without aggregating them. Cluster
-// members use it so the coordinator can fold all shards' raw results
-// through the single aggregation path. Call it once.
-func (e *Engine) FinishResults() []*mobility.Result {
-	results := make([]*mobility.Result, len(e.runners))
-	for i := range e.runners {
-		results[i] = e.runners[i].Finish()
+// FinishShard is the raw half of Finish: it finalizes every runner (UE
+// order) into its outcome, closes each transport flow, replays outages
+// through the TCP model and publishes the final timeline batch when
+// telemetry is armed, and returns the outcomes with the admission and
+// cell tallies, unfolded. Peak attach counts are engine-local and
+// final ones unset. Cluster members ship it so the coordinator folds
+// every shard through the same assemble. Call it once.
+func (e *Engine) FinishShard() ShardSlice {
+	sh := ShardSlice{
+		Offset:   e.spec.UEOffset,
+		Outcomes: make([]UEOutcome, len(e.runners)),
+		Blocked:  e.blocked,
+		Cells:    e.CellStats(),
 	}
-	if e.spec.Transport != nil {
-		// Drain any link-trace tail the last epoch left unconsumed,
-		// close each flow, and collect the per-UE totals (UE order).
-		// Totals are computed whether or not telemetry is armed; the
-		// metric/event emission below is telemetry-only.
-		e.tpTotals = make([]transport.Totals, len(e.sess))
-		for i := range e.sess {
+	for i := range e.runners {
+		res := e.runners[i].Finish()
+		o := outcomeOf(e.spec.UEOffset+i, res)
+		ss := &e.sess[i]
+		if ss.tp != nil {
+			// Drain any link-trace tail the last epoch left unconsumed,
+			// then close the flow. Totals are kept whether or not
+			// telemetry is armed; the metric/event emission is
+			// telemetry-only (Observe is nil-safe).
 			e.stepTransport(i)
-			ss := &e.sess[i]
 			ss.tp.Finish()
-			e.tpTotals[i] = ss.tp.Totals()
-			if e.tel != nil {
-				transport.Observe(ss.scope, e.tpTotals[i], ss.tp.Stalls())
-			}
+			tt := ss.tp.Totals()
+			o.Transport = &tt
+			transport.Observe(ss.scope, tt, ss.tp.Stalls())
 		}
+		transport.ObserveTCPStalls(ss.scope, res.Outages)
+		sh.Outcomes[i] = o
 	}
 	if e.tel != nil {
-		// Replay each UE's radio outages through the TCP model (UE
-		// order, coordinator goroutine) and publish the final batch:
-		// Finish-appended events plus the stall open/close pairs.
-		for i, res := range results {
-			transport.ObserveTCPStalls(e.sess[i].scope, res.Outages)
-		}
 		e.publishTimeline()
 	}
-	return results
+	return sh
 }
 
 // Spec returns the resolved (defaulted) spec the engine is running.
 func (e *Engine) Spec() Spec { return e.spec }
-
-// TransportTotals returns the per-UE transport totals (local UE order)
-// of a transport-armed run; nil when the plane is disarmed or before
-// FinishResults. Cluster members ship it so the coordinator folds the
-// fleet-wide transport view in global UE order.
-func (e *Engine) TransportTotals() []transport.Totals { return e.tpTotals }
 
 // Loads returns a copy of the frozen per-cell attach counts (dense by
 // cell ID) the next epoch's admission decisions will read.
@@ -584,9 +575,6 @@ func (e *Engine) SetLoads(loads []int) error {
 	copy(e.loads, loads)
 	return nil
 }
-
-// Blocked returns the cumulative admission-deferral count.
-func (e *Engine) Blocked() int { return e.blocked }
 
 // CellStats returns a copy of the dense per-cell statistics table
 // (indexed by cell ID; slot 0 and undeployed IDs carry Cell == 0).
@@ -716,25 +704,7 @@ func (e *Engine) attachedCount() int {
 	return n
 }
 
-func (e *Engine) buildResult(results []*mobility.Result) *Result {
-	sum := summarize(e.spec, results, func(ue int) int64 { return e.shared.UESeed(e.spec.UEOffset + ue) })
-	sum.Blocked = e.blocked
-	for id := range e.cellStats {
-		if e.cellStats[id].Cell == 0 {
-			continue
-		}
-		cs := e.cellStats[id]
-		cs.FinalAttached = e.loads[id]
-		sum.Cells = append(sum.Cells, cs)
-	}
-	agg := eval.AggregateFleet(results)
-	rep := agg.Report(specTitle(e.spec))
-	applyTransport(e.spec, sum, rep, e.tpTotals)
-	return &Result{Summary: *sum, Report: rep.Render()}
-}
-
-// specTitle renders the report title for a (defaulted) spec; the
-// cluster merge reuses it so merged reports match single-process ones.
+// specTitle renders the report title for a (defaulted) spec.
 func specTitle(spec Spec) string {
 	return fmt.Sprintf("%d-UE fleet, %s/%s at %g km/h for %gs (seed %d)",
 		spec.UEs, trace.Describe(spec.Dataset).ID, spec.Mode,

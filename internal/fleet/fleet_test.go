@@ -256,12 +256,17 @@ func TestSpecValidation(t *testing.T) {
 
 func TestSummarizeResultsShape(t *testing.T) {
 	sum := SummarizeResults(trace.BeijingShanghai, trace.REM, 330, 10, 1, []*mobility.Result{
-		{Duration: 10}, {Duration: 10},
+		{Duration: 10}, nil, {Duration: 10},
 	})
-	if sum.UEs != 2 || sum.Dataset != "beijing-shanghai" || sum.Mode != "rem" {
+	// A nil entry (canceled replica) counts toward UEs but has no
+	// per-UE row.
+	if sum.UEs != 3 || sum.Dataset != "beijing-shanghai" || sum.Mode != "rem" {
 		t.Fatalf("bad summary header: %+v", sum)
 	}
-	if len(sum.PerUE) != 2 || sum.PerUE[0].Seed == sum.PerUE[1].Seed {
+	if len(sum.PerUE) != 2 || sum.PerUE[0].UE != 0 || sum.PerUE[1].UE != 2 {
+		t.Fatalf("per-UE rows %+v, want UEs 0 and 2", sum.PerUE)
+	}
+	if sum.PerUE[0].Seed == sum.PerUE[1].Seed {
 		t.Fatalf("per-UE seeds not distinct: %+v", sum.PerUE)
 	}
 }

@@ -3,38 +3,31 @@ package fleet
 import (
 	"fmt"
 	"sort"
-
-	"rem/internal/eval"
-	"rem/internal/mobility"
-	"rem/internal/sim"
-	"rem/internal/transport"
 )
 
 // ShardSlice is one shard's contribution to a merged fleet result: the
-// raw per-UE mobility results for the contiguous global UE range
-// starting at Offset, plus the shard engine's admission and cell
-// tallies (Blocked, CellStats).
+// per-UE outcomes for the contiguous global UE range starting at
+// Offset, plus the shard engine's admission and cell tallies (Blocked,
+// Cells).
 type ShardSlice struct {
-	Offset  int
-	Results []*mobility.Result
-	Blocked int
+	Offset   int
+	Outcomes []UEOutcome
+	Blocked  int
 	// Cells is the shard engine's dense per-cell table, indexed by cell
 	// ID. Every shard shares one deployment, so tables must agree on
 	// length and cell identity.
 	Cells []CellStat
-	// Transport is the shard's per-UE transport totals (local UE
-	// order), required (one per Result) when the spec arms the
-	// transport plane and ignored otherwise.
-	Transport []transport.Totals
 }
 
-// MergeShards reduces per-shard raw results into the Result a
+// MergeShards reduces per-shard outcomes into the Result a
 // single-process run of spec produces. Shards are reordered by Offset
-// and must tile [0, spec.UEs) exactly. The reduction reuses the
-// engine's own aggregation (summarize + eval.AggregateFleet) over the
-// concatenated results in global UE order, so every floating-point
-// fold runs in the single-process order and the merge is
-// byte-identical, not merely statistically equivalent.
+// and must tile [0, spec.UEs) exactly; every outcome must sit in its
+// own UE's slot, carry transport totals when the spec arms the plane,
+// and pass validate, and no shard tally may be negative. The reduction
+// is the engine's own fold (assemble) over the concatenated outcomes
+// in global UE order, so every floating-point sum runs in the
+// single-process order and the merge is byte-identical, not merely
+// statistically equivalent.
 //
 // peaks and finals are the coordinator-tracked global per-cell attach
 // counts (dense by cell ID): the elementwise maximum over every epoch
@@ -50,21 +43,34 @@ func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, 
 	sorted := append([]ShardSlice(nil), shards...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Offset < sorted[b].Offset })
 
-	results := make([]*mobility.Result, 0, spec.UEs)
+	outcomes := make([]UEOutcome, 0, spec.UEs)
 	blocked := 0
 	var cells []CellStat
-	var tpTotals []transport.Totals
 	for _, sh := range sorted {
-		if sh.Offset != len(results) {
-			return nil, fmt.Errorf("fleet: merge: shard ranges not contiguous at UE %d (offset %d)", len(results), sh.Offset)
+		if sh.Offset != len(outcomes) {
+			return nil, fmt.Errorf("fleet: merge: shard ranges not contiguous at UE %d (offset %d)", len(outcomes), sh.Offset)
 		}
-		if spec.Transport != nil {
-			if len(sh.Transport) != len(sh.Results) {
-				return nil, fmt.Errorf("fleet: merge: shard at offset %d carries %d transport totals for %d UEs", sh.Offset, len(sh.Transport), len(sh.Results))
+		for j := range sh.Outcomes {
+			o := &sh.Outcomes[j]
+			if want := sh.Offset + j; o.UE != want {
+				return nil, fmt.Errorf("fleet: merge: shard at offset %d returned UE %d at slot %d, want %d", sh.Offset, o.UE, j, want)
 			}
-			tpTotals = append(tpTotals, sh.Transport...)
+			if spec.Transport != nil && o.Transport == nil {
+				return nil, fmt.Errorf("fleet: merge: UE %d missing transport totals", o.UE)
+			}
+			if err := o.validate(); err != nil {
+				return nil, err
+			}
 		}
-		results = append(results, sh.Results...)
+		if sh.Blocked < 0 {
+			return nil, fmt.Errorf("fleet: merge: shard at offset %d: negative blocked count %d", sh.Offset, sh.Blocked)
+		}
+		for _, cs := range sh.Cells {
+			if cs.Attaches < 0 || cs.HandoversIn < 0 || cs.Failures < 0 || cs.Blocked < 0 {
+				return nil, fmt.Errorf("fleet: merge: shard at offset %d: negative tally for cell %d", sh.Offset, cs.Cell)
+			}
+		}
+		outcomes = append(outcomes, sh.Outcomes...)
 		blocked += sh.Blocked
 		if cells == nil {
 			cells = append(cells, sh.Cells...)
@@ -83,29 +89,17 @@ func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, 
 			cells[id].Blocked += cs.Blocked
 		}
 	}
-	if len(results) != spec.UEs {
-		return nil, fmt.Errorf("fleet: merge: shards cover %d UEs, spec has %d", len(results), spec.UEs)
+	if len(outcomes) != spec.UEs {
+		return nil, fmt.Errorf("fleet: merge: shards cover %d UEs, spec has %d", len(outcomes), spec.UEs)
 	}
-
-	sum := summarize(spec, results, func(ue int) int64 { return sim.ReplicaSeed(spec.Seed, ue) })
-	sum.Blocked = blocked
 	for id := range cells {
-		if cells[id].Cell == 0 {
-			continue
-		}
-		cs := cells[id]
-		cs.PeakAttached = 0
+		cells[id].PeakAttached, cells[id].FinalAttached = 0, 0
 		if id < len(peaks) {
-			cs.PeakAttached = peaks[id]
+			cells[id].PeakAttached = peaks[id]
 		}
-		cs.FinalAttached = 0
 		if id < len(finals) {
-			cs.FinalAttached = finals[id]
+			cells[id].FinalAttached = finals[id]
 		}
-		sum.Cells = append(sum.Cells, cs)
 	}
-	agg := eval.AggregateFleet(results)
-	rep := agg.Report(specTitle(spec))
-	applyTransport(spec, sum, rep, tpTotals)
-	return &Result{Summary: *sum, Report: rep.Render()}, nil
+	return assemble(spec, outcomes, blocked, cells), nil
 }

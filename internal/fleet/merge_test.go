@@ -78,12 +78,7 @@ func TestMergeShardsMatchesSingleProcess(t *testing.T) {
 
 	slices := make([]ShardSlice, len(engines))
 	for i, eng := range engines {
-		slices[i] = ShardSlice{
-			Offset:  ranges[i].off,
-			Results: eng.FinishResults(),
-			Blocked: eng.Blocked(),
-			Cells:   eng.CellStats(),
-		}
+		slices[i] = eng.FinishShard()
 	}
 	// Shards arrive out of order on purpose: MergeShards must reorder.
 	slices[0], slices[1] = slices[1], slices[0]
@@ -100,7 +95,7 @@ func TestMergeShardsMatchesSingleProcess(t *testing.T) {
 // TestMergeShardsRejectsGaps pins the contiguity check.
 func TestMergeShardsRejectsGaps(t *testing.T) {
 	spec := Spec{UEs: 4, DurationSec: 1}
-	if _, err := MergeShards(spec, []ShardSlice{{Offset: 1, Results: nil}}, nil, nil); err == nil {
+	if _, err := MergeShards(spec, []ShardSlice{{Offset: 1}}, nil, nil); err == nil {
 		t.Fatal("MergeShards accepted a non-contiguous shard set")
 	}
 }
